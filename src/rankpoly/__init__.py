@@ -47,18 +47,6 @@ from .exact import (
     tutte,
 )
 from .chains import RC, RWS, ChainParams, ChainState, bis_sample_bridge, run, step_rc, step_rws
-from .mixing import (
-    CongestionResult,
-    EdgeOrdering,
-    ExactChain,
-    canonical_path,
-    congestion,
-    dfs_tree_ordering,
-    linear_width_of_ordering,
-    optimal_linear_width,
-    transition_matrix,
-    treedec_ordering,
-)
 from .reductions import (
     ModP,
     ReductionCert,
@@ -73,3 +61,27 @@ from .reductions import (
 from .rng import SplitMix64
 
 __version__ = "0.1.0"
+
+# rankpoly.mixing needs numpy and scipy; its names load it on first access.
+_MIXING_NAMES = frozenset(
+    {
+        "CongestionResult",
+        "EdgeOrdering",
+        "ExactChain",
+        "canonical_path",
+        "congestion",
+        "dfs_tree_ordering",
+        "linear_width_of_ordering",
+        "optimal_linear_width",
+        "transition_matrix",
+        "treedec_ordering",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _MIXING_NAMES:
+        from . import mixing
+
+        return getattr(mixing, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,11 +2,16 @@
 
 Both chains pick a uniform edge e, propose toggling it in the current
 subset, and accept with probability (1/2) * min(1, weight ratio); rejected
-mass stays on the current state.  The rank-weighted chain tracks the
-bipartite adjacency rank through single-entry flips; the random-cluster
-chain tracks the component count through a local bridge test.  Acceptance
-probabilities are exact rationals compared against exact uniform draws, so
-a seeded run is bit-reproducible.
+mass stays on the current state.  Both track one GF(2) rank under the entry
+flips of an edge toggle: the rank-weighted chain the rank of the |U| x |W|
+bipartite adjacency matrix (one flip per edge), the random-cluster chain
+the rank of the n x m vertex-by-edge incidence matrix (two flips per edge),
+whose component count is kappa(S) = n - rank.  The weight ratio of a toggle
+is therefore lam^(d rank) * mu^(+-1) for rws and q^(-d rank) * mu^(+-1) for
+rc.  Since d rank is -1, 0 or 1, the six acceptance probabilities are
+precomputed per parameter set as reduced integer fractions num/den and
+tested with ``randrange(den) < num``, the exact draw ``bernoulli`` makes,
+so a seeded run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gf2 import RankProfile, bipartite_adjacency, rank, sample_left_nullspace
+from .gf2 import RankProfile, bipartite_adjacency, incidence, rank, sample_left_nullspace
 from .graphs import BipartiteGraph, EdgeSubset, Graph, components
 from .rng import SplitMix64
 
@@ -26,11 +31,16 @@ RC = "rc"
 class ChainParams:
     """family 'rws' uses (lam, mu) rank weights on a bipartite graph;
     family 'rc' uses (q, mu) component weights on any graph.  Both chains
-    are specified for strictly positive weights."""
+    are specified for strictly positive weights.
+
+    ``accept[d + 1][adding]`` is the reduced (num, den) of the acceptance
+    probability of a toggle that changes the tracked rank by d and adds
+    (1) or removes (0) an edge."""
 
     family: str
     lam: Fraction  # lam for rws, q for rc
     mu: Fraction
+    accept: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in (RWS, RC):
@@ -39,11 +49,21 @@ class ChainParams:
         object.__setattr__(self, "mu", Fraction(self.mu))
         if self.lam <= 0 or self.mu <= 0:
             raise ValueError("chain parameters must be strictly positive")
+        # kappa = n - rank, so q^(d kappa) = (1/q)^(d rank)
+        base = self.lam if self.family == RWS else 1 / self.lam
+        table = []
+        for d in (-1, 0, 1):
+            row = []
+            for d_size in (-1, 1):
+                p = Fraction(1, 2) * min(Fraction(1), base**d * self.mu**d_size)
+                row.append((p.numerator, p.denominator))
+            table.append(tuple(row))
+        object.__setattr__(self, "accept", tuple(table))
 
 
 class ChainState:
-    """Single-owner mutable state: current subset plus its cached statistic
-    (bipartite rank for rws, component count for rc)."""
+    """Single-owner mutable state: current subset plus a ``RankProfile`` of
+    its bipartite adjacency (rws) or incidence (rc) matrix."""
 
     def __init__(self, g: Graph | BipartiteGraph, params: ChainParams, subset: EdgeSubset = 0):
         self.params = params
@@ -55,16 +75,24 @@ class ChainState:
                 raise ValueError("the rank-weighted chain needs a bipartite graph")
             self.bip = g
             self.graph = g.graph
-            self.oriented = g.oriented_edges()
-            self.profile = RankProfile(bipartite_adjacency(g, subset))
+            self.flips = [((ui, wi),) for ui, wi in g.oriented_edges()]
+            matrix = bipartite_adjacency(g, subset)
         else:
             self.graph = g.graph if isinstance(g, BipartiteGraph) else g
             self.bip = None
-            kappa, _ = components(self.graph, subset)
-            self.kappa = kappa
+            self.flips = [((u, e), (v, e)) for e, (u, v) in enumerate(self.graph.edges)]
+            matrix = incidence(self.graph, subset)
         self.m = self.graph.m
         if self.m == 0:
             raise ValueError("chain needs at least one edge")
+        self.profile = RankProfile(matrix)
+
+    @property
+    def kappa(self) -> int:
+        """Component count of (V, subset), for the random-cluster chain."""
+        if self.params.family != RC:
+            raise ValueError("only the random-cluster chain tracks components")
+        return self.graph.n - self.profile.rank
 
     @property
     def statistic(self) -> int:
@@ -77,68 +105,33 @@ class ChainState:
         kappa, _ = components(self.graph, self.subset)
         return kappa
 
-    # -- rc component delta -------------------------------------------------
-
-    def _adj_in_subset(self, subset: EdgeSubset) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.graph.n)]
-        for i, (u, v) in enumerate(self.graph.edges):
-            if (subset >> i) & 1:
-                adj[u].append(v)
-                adj[v].append(u)
-        return adj
-
-    def _connected_in(self, subset: EdgeSubset, src: int, dst: int) -> bool:
-        if src == dst:
-            return True
-        adj = self._adj_in_subset(subset)
-        seen = bytearray(self.graph.n)
-        seen[src] = 1
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y == dst:
-                    return True
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-        return False
+    def _toggle(self, e: int) -> None:
+        for i, j in self.flips[e]:
+            self.profile.flip_entry(i, j)
 
     def rc_delta_kappa(self, e: int) -> int:
-        """Component-count change if edge e were toggled: adding an edge
-        joins two components iff its endpoints are separated; removing one
-        splits iff it is a bridge of the current subset."""
-        u, v = self.graph.edges[e]
-        if (self.subset >> e) & 1:
-            return 1 if not self._connected_in(self.subset & ~(1 << e), u, v) else 0
-        return -1 if not self._connected_in(self.subset, u, v) else 0
-
-    # -- one step ------------------------------------------------------------
+        """Component-count change if edge e were toggled (state unchanged)."""
+        before = self.kappa
+        self._toggle(e)
+        after = self.kappa
+        self._toggle(e)
+        return after - before
 
     def step(self, rng: SplitMix64) -> None:
         e = rng.randrange(self.m)
-        params = self.params
-        if params.family == RWS:
-            ui, wi = self.oriented[e]
-            old_rank = self.profile.rank
-            new_rank = self.profile.flip_entry(ui, wi)
-            d_size = -1 if (self.subset >> e) & 1 else 1
-            ratio = params.lam ** (new_rank - old_rank) * params.mu**d_size
-            accept = Fraction(1, 2) * min(Fraction(1), ratio)
-            if rng.bernoulli(accept):
-                self.subset ^= 1 << e
-                self.accepts += 1
-            else:
-                self.profile.flip_entry(ui, wi)  # undo (flips are involutions)
+        bit = 1 << e
+        profile = self.profile
+        old_rank = profile.rank
+        flips = self.flips[e]
+        for i, j in flips:
+            profile.flip_entry(i, j)
+        num, den = self.params.accept[profile.rank - old_rank + 1][not self.subset & bit]
+        if rng.randrange(den) < num:
+            self.subset ^= bit
+            self.accepts += 1
         else:
-            d_kappa = self.rc_delta_kappa(e)
-            d_size = -1 if (self.subset >> e) & 1 else 1
-            ratio = params.lam**d_kappa * params.mu**d_size
-            accept = Fraction(1, 2) * min(Fraction(1), ratio)
-            if rng.bernoulli(accept):
-                self.subset ^= 1 << e
-                self.kappa += d_kappa
-                self.accepts += 1
+            for i, j in flips:
+                profile.flip_entry(i, j)  # undo: entry flips are involutions
         self.steps += 1
 
 

@@ -13,9 +13,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import chains, exact, graphio, graphs, mixing, reductions
+from . import chains, exact, graphio, graphs, reductions
 from .chains import RC, RWS, ChainParams
+
+if TYPE_CHECKING:
+    from . import mixing
 
 
 def _fraction(text: str) -> Fraction:
@@ -134,6 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_ordering(g: graphs.Graph, spec: str) -> mixing.EdgeOrdering:
+    from . import mixing
+
     if spec == "auto":
         kappa, _ = graphs.components(g, g.full_subset())
         spec = "dfs" if g.m == g.n - kappa else "natural"
@@ -222,6 +228,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_mix(args) -> int:
+    from . import mixing
+
     g, bip = graphio.load_graph(args.graph, args.format)
     weight = args.lam if args.lam is not None else args.q
     if weight is None:
@@ -283,6 +291,8 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_lw(args) -> int:
+    from . import mixing
+
     g, _ = graphio.load_graph(args.graph, args.format)
     if args.optimal:
         print(mixing.optimal_linear_width(g))

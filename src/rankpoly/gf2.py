@@ -88,6 +88,18 @@ def bipartite_adjacency(b: BipartiteGraph, subset: EdgeSubset | None = None) -> 
     return F2Matrix(len(b.side_u), len(b.side_w), tuple(rows))
 
 
+def incidence(g: Graph, subset: EdgeSubset | None = None) -> F2Matrix:
+    """n x m vertex-by-edge incidence matrix of (V, subset); its rank is
+    n minus the number of connected components."""
+    s = g.full_subset() if subset is None else subset
+    rows = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        if (s >> i) & 1:
+            rows[u] |= 1 << i
+            rows[v] |= 1 << i
+    return F2Matrix(g.n, g.m, tuple(rows))
+
+
 class RankProfile:
     """Maintained elimination state of a matrix under single-entry flips.
 

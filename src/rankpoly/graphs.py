@@ -36,6 +36,8 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        if self.n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.n:

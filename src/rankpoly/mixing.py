@@ -9,6 +9,7 @@ below any tolerance used on top of it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -477,7 +478,9 @@ def congestion_bound(g: Graph, params: ChainParams, width: int) -> Fraction:
 def mixing_bound_from_congestion(
     rho: Fraction, pi_start: Fraction, eps: float
 ) -> float:
-    """rho * (log(1/pi(start)) + log(1/eps)) — the congestion-to-mixing bound."""
-    import math
+    """rho * (log(1/pi(start)) + log(1/eps)) — the congestion-to-mixing bound.
 
-    return float(rho) * (math.log(1 / float(pi_start)) + math.log(1 / eps))
+    log(1/pi) is taken as log(denominator) - log(numerator): ``math.log``
+    of an int works from its bit length, so no tiny pi underflows to 0."""
+    log_inv_pi = math.log(pi_start.denominator) - math.log(pi_start.numerator)
+    return float(rho) * (log_inv_pi + math.log(1 / eps))

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .exact import (
+    _check_limit,
     count_pbis_auto,
     purity_split_sums,
     r2_prime,
@@ -31,8 +32,10 @@ from .graphs import (
     LimitExceededError,
     biclique_gadget,
     cloud_blowup,
+    components,
     fan_gadget,
     is_prime,
+    stretch_sum,
 )
 
 DEFAULT_PRIME_CAP = 2000
@@ -244,8 +247,6 @@ def verify_reduction_congruence(
         raise GadgetConditionError(
             f"(p={p}, k={k}) fails the gadget congruence conditions"
         )
-    from .graphs import stretch_sum
-
     g = stretch_sum(h, gadget, root)
     lhs = r2_prime(g, lam, mu, max_edges, workers).value
     n_u = len(gadget.side_u)
@@ -324,10 +325,24 @@ def tutte_via_oracle(
     bound = 2**m * abs(b - a) ** n * abs(a) ** n * abs(c) ** (2 * m) * abs(d) ** (2 * m)
     pairs = find_gadget_params(lam, mu, prime_cap=prime_cap, min_product=2 * bound)
 
+    # Witnesses k repeat across primes; every stretch-sum size is known
+    # here, so the enumeration limit is checked before any enumeration.
+    stretched = {}
+    for k in dict.fromkeys(k for _, k in pairs):
+        gadget, root = _gadget_for(mu, k)
+        g = stretch_sum(h, gadget, root)
+        _check_limit(g.m, max_edges)
+        stretched[k] = gadget, root, g
+    sums = {
+        k: purity_split_sums(gadget, root, lam, mu)
+        for k, (gadget, root, _) in stretched.items()
+    }
+    queries: dict[int, Fraction] = {}
+
     residues: list[ModP] = []
     for p, k in pairs:
-        gadget, root = _gadget_for(mu, k)
-        zp, zm = purity_split_sums(gadget, root, lam, mu)
+        gadget, root, g = stretched[k]
+        zp, zm = sums[k]
         x_val = lam * zp
         if not (
             _fraction_denominators_ok(p, x_val, lam * zp + zm)
@@ -335,10 +350,9 @@ def tutte_via_oracle(
             and rational_mod_p(lam * zp + zm, p).value == 0
         ):
             raise GadgetConditionError(f"(p={p}, k={k}) failed re-verification")
-        from .graphs import stretch_sum
-
-        g = stretch_sum(h, gadget, root)
-        query = r2_prime(g, lam, mu, max_edges, workers).value
+        if k not in queries:
+            queries[k] = r2_prime(g, lam, mu, max_edges, workers).value
+        query = queries[k]
         n_u = len(gadget.side_u)
         # L = a^n d^(2m) lam^(-n|U|) X^(-n) * query  (mod p)
         factor = Fraction(a**n * d ** (2 * m)) / (lam ** (n * n_u) * x_val**n)
@@ -346,8 +360,6 @@ def tutte_via_oracle(
 
     big_l = crt_reconstruct(residues, bound)
     z_val = Fraction(big_l, a**n * d ** (2 * m))
-    from .graphs import components
-
     kappa_full, _ = components(h, h.full_subset())
     value = (x - 1) ** (-kappa_full) * (y - 1) ** (-n) * z_val
     cert = ReductionCert(

@@ -47,8 +47,16 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("empty range")
         k = (n - 1).bit_length()
+        if k == 0:
+            return 0
+        if k <= 64:  # one word per try, the value randbits(k) would give
+            shift = 64 - k
+            while True:
+                v = self.next_u64() >> shift
+                if v < n:
+                    return v
         while True:
-            v = self.randbits(k) if k else 0
+            v = self.randbits(k)
             if v < n:
                 return v
 

@@ -18,8 +18,10 @@ from rankpoly.chains import (
 )
 from rankpoly.gf2 import bipartite_adjacency, left_nullspace, rank
 from rankpoly.graphs import (
+    BipartiteGraph,
     bipartition_of,
     complete_graph,
+    components,
     cycle_graph,
     path_graph,
     star_graph,
@@ -27,7 +29,28 @@ from rankpoly.graphs import (
 )
 from rankpoly.mixing import ExactChain, empirical_tv
 from rankpoly.rng import SplitMix64
-from conftest import random_tree
+from conftest import random_bipartite, random_graph, random_tree
+
+
+def reference_trace(g, params, steps, seed, initial):
+    """States after each step of the chain as specified: the Fraction weight
+    ratio with the statistic recomputed from scratch, and rng.bernoulli."""
+    graph = g.graph if isinstance(g, BipartiteGraph) else g
+
+    def statistic(s):
+        if params.family == RWS:
+            return rank(bipartite_adjacency(g, s))
+        return components(graph, s)[0]
+
+    gen = SplitMix64(seed)
+    s, trace = initial, []
+    for _ in range(steps):
+        t = s ^ (1 << gen.randrange(graph.m))
+        ratio = params.lam ** (statistic(t) - statistic(s)) * params.mu ** (1 if t > s else -1)
+        if gen.bernoulli(F(1, 2) * min(F(1), ratio)):
+            s = t
+        trace.append(s)
+    return trace
 
 
 class TestParams:
@@ -119,6 +142,24 @@ class TestCachedStatistics:
         for _ in range(2000):
             state.step(gen)
             assert state.statistic == max_matching(t, state.subset)
+
+
+class TestDifferential:
+    WEIGHTS = (F(3), F(2, 7), F(1, 2), F(1), F(5, 3))
+
+    def test_run_matches_reference_stepper(self, rng):
+        for case in range(24):
+            if case % 2:
+                family, g = RC, random_graph(rng, rng.randrange(2, 7), 0.6)
+            else:
+                family, g = RWS, random_bipartite(rng, rng.randrange(1, 4), rng.randrange(1, 4), 0.7)
+            if g.m == 0:
+                continue
+            params = ChainParams(family, rng.choice(self.WEIGHTS), rng.choice(self.WEIGHTS))
+            initial, seed = rng.randrange(1 << g.m), rng.randrange(1 << 32)
+            res = run(g, params, 300, seed, initial, thin=1)
+            assert res.samples == reference_trace(g, params, 300, seed, initial), (case, params)
+            assert res.final.statistic == res.final.statistic_from_scratch()
 
 
 class TestRun:

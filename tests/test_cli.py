@@ -209,6 +209,12 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_negative_vertex_count(self, capsys, tmp_path):
+        neg = tmp_path / "neg.json"
+        neg.write_text('{"n": -3, "edges": []}')
+        code, _, err = run_cli(capsys, "eval", "zrc", "--graph", str(neg), "--q", "2", "--mu", "1")
+        assert code == 1 and len(err.splitlines()) == 1 and "nonnegative" in err
+
     def test_nonbipartite_r2p(self, capsys, tmp_path):
         tri = tmp_path / "k3.txt"
         tri.write_text("0 1\n1 2\n2 0\n")

@@ -61,6 +61,10 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, ((0, 2),))
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph(-3, ())
+
     def test_bipartite_validation(self):
         g = Graph(3, ((0, 1), (1, 2)))
         with pytest.raises(ValueError, match="cross"):

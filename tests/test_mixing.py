@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import rankpoly
 from rankpoly.chains import RC, RWS, ChainParams, run
 from rankpoly.graphs import (
     Graph,
@@ -36,6 +41,23 @@ from rankpoly.mixing import (
     treedec_ordering,
 )
 from conftest import random_graph, random_tree
+
+
+def test_mixing_bound_takes_tiny_stationary_mass():
+    # pi far below the smallest double: log(1/pi) = 400 log 10 exactly
+    bound = mixing_bound_from_congestion(F(3), F(1, 10**400), 0.25)
+    assert bound == pytest.approx(3 * (400 * math.log(10) + math.log(4)))
+
+
+def test_import_rankpoly_leaves_numpy_unloaded():
+    code = (
+        "import sys, rankpoly; assert 'numpy' not in sys.modules, 'numpy'; "
+        "assert 'scipy.sparse' not in sys.modules, 'scipy'; "
+        "assert rankpoly.ExactChain.__module__ == 'rankpoly.mixing'"
+    )
+    src = str(Path(rankpoly.__file__).resolve().parents[1])  # the package under test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def grid_3x3() -> Graph:

@@ -22,6 +22,7 @@ from rankpoly.graphs import (
     fan_gadget,
     path_graph,
 )
+from rankpoly import reductions
 from rankpoly.reductions import (
     GadgetConditionError,
     ModP,
@@ -188,6 +189,28 @@ class TestTuttePipeline:
     def test_y_one_rejected(self):
         with pytest.raises(ValueError, match="square"):
             tutte_via_oracle(path_graph(2), F(3), F(1))
+
+    def test_one_query_per_distinct_witness(self, monkeypatch):
+        calls = []
+        real = reductions.r2_prime
+
+        def counted(g, *args):
+            calls.append(g.m)
+            return real(g, *args)
+
+        monkeypatch.setattr(reductions, "r2_prime", counted)
+        value, cert = tutte_via_oracle(complete_graph(3), F(-3), F(2))
+        assert value == tutte(complete_graph(3), F(-3), F(2))
+        assert cert.ks == (1, 1, 1, 1) and len(calls) == 1
+
+    def test_limit_fails_before_any_enumeration(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("enumerated past a known limit")
+
+        monkeypatch.setattr(reductions, "r2_prime", forbidden)
+        monkeypatch.setattr(reductions, "purity_split_sums", forbidden)
+        with pytest.raises(LimitExceededError, match="27 edges exceeds enumeration limit 26"):
+            tutte_via_oracle(complete_graph(3), F(3), F(5))
 
     def test_certificate_residues_consistent(self):
         value, cert = tutte_via_oracle(path_graph(3), F(-3), F(2))

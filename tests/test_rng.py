@@ -1,0 +1,22 @@
+"""SplitMix64 bounded draws."""
+
+from __future__ import annotations
+
+from rankpoly.rng import SplitMix64
+
+
+def randrange_by_randbits(gen: SplitMix64, n: int) -> int:
+    k = (n - 1).bit_length()
+    while True:
+        v = gen.randbits(k) if k else 0
+        if v < n:
+            return v
+
+
+def test_randrange_is_rejection_on_randbits():
+    sizes = [1, 2, 3, 7, 8, 9, 60, 1000, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 3**50]
+    fast, slow = SplitMix64(5), SplitMix64(5)
+    for _ in range(50):
+        for n in sizes:
+            assert fast.randrange(n) == randrange_by_randbits(slow, n)
+    assert fast.state == slow.state
