@@ -153,18 +153,29 @@ def _resolve_ordering(g: graphs.Graph, spec: str) -> mixing.EdgeOrdering:
     raise ValueError(f"unknown ordering {spec!r}")
 
 
+def _threads(args, command: str, used: bool) -> int:
+    """The validated --threads value of ``command``, which partitions its
+    work over processes only when ``used``."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    if args.threads != 1 and not used:
+        raise ValueError(f"{command} runs in one process; --threads must be 1")
+    return args.threads
+
+
 def _cmd_eval(args) -> int:
+    threads = _threads(args, f"eval {args.poly}", args.poly in ("r2p", "r2"))
     g, bip = graphio.load_graph(args.graph, args.format)
     if args.poly == "r2p":
         if args.lam is None or args.mu is None:
             raise ValueError("r2p needs --lambda and --mu")
         b = graphio.require_bipartite(g, bip)
-        res = exact.r2_prime(b, args.lam, args.mu, args.max_edges, args.threads)
+        res = exact.r2_prime(b, args.lam, args.mu, args.max_edges, threads)
         _print_value(res.value)
     elif args.poly == "r2":
         if args.lam is None or args.mu is None:
             raise ValueError("r2 needs --lambda and --mu")
-        _print_value(exact.r2(g, args.lam, args.mu, args.max_edges, args.threads).value)
+        _print_value(exact.r2(g, args.lam, args.mu, args.max_edges, threads).value)
     elif args.poly == "zrc":
         q = args.q if args.q is not None else args.lam
         if q is None or args.mu is None:
@@ -178,10 +189,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    threads = _threads(args, f"count {args.what}", args.what == "bis")
     g, bip = graphio.load_graph(args.graph, args.format)
     if args.what == "bis":
         b = graphio.require_bipartite(g, bip)
-        _print_value(Fraction(exact.count_bis(b, args.max_edges, args.threads)))
+        _print_value(Fraction(exact.count_bis(b, args.max_edges, threads)))
     elif args.what == "pbis":
         if args.eta is None:
             raise ValueError("pbis needs --eta")
@@ -247,10 +259,6 @@ def _cmd_mix(args) -> int:
         tau = None
         curves = None
     else:
-        curves = [chain.tv_curve(s, eps=args.eps) for s in csv_starts]
-        horizon = max(len(c) for c in curves)
-        for t in range(horizon):
-            rows.append((t, [c[t] if t < len(c) else c[-1] for c in curves]))
         if args.starts == "all":
             starts = list(range(chain.n_states))
         elif args.starts == "trio":
@@ -259,6 +267,10 @@ def _cmd_mix(args) -> int:
             starts = None
         tau = chain.mixing_time(args.eps, starts)
         tv = None
+        curves = [chain.tv_curve(s, eps=args.eps) for s in csv_starts]
+        horizon = max(len(c) for c in curves)
+        for t in range(horizon):
+            rows.append((t, [c[t] if t < len(c) else c[-1] for c in curves]))
 
     if rows:
         lines = ["step," + ",".join(f"tv_from_{s:#x}" for s in csv_starts)]
@@ -313,7 +325,7 @@ def _cmd_reduce(args) -> int:
     g, _ = graphio.load_graph(args.graph, args.format)
     if args.pipeline == "tutte":
         value, cert = reductions.tutte_via_oracle(
-            g, args.x, args.y, args.prime_cap, workers=getattr(args, "threads", 1)
+            g, args.x, args.y, args.prime_cap, workers=_threads(args, "reduce tutte", True)
         )
     else:
         value, cert = reductions.bis_via_pbis_oracle(g, args.eta, args.prime_cap)

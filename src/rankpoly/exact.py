@@ -11,6 +11,7 @@ without re-enumeration.  0^0 = 1 throughout.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -22,6 +23,7 @@ from .graphs import (
     LimitExceededError,
     components,
     component_of,
+    twin_classes,
 )
 
 DEFAULT_ENUM_LIMIT = 26
@@ -162,18 +164,20 @@ def _table_worker(args):
     return _graph_table_chunk(obj, start, stop)
 
 
+def _chunk_bounds(total: int, workers: int, cpus: int | None) -> list[tuple[int, int]]:
+    """Split range(total) into contiguous non-empty [start, stop) chunks, one
+    per process: at most ``workers``, the CPU count (one if unknown) and
+    ``total``."""
+    count = max(1, min(workers, cpus or 1, total))
+    bounds = [total * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _parallel_table(obj, workers: int, bipartite: bool) -> list[list[int]]:
     import multiprocessing as mp
 
-    m = obj.m
-    total = 1 << m
-    workers = max(1, min(workers, total))
-    bounds = [total * i // workers for i in range(workers + 1)]
-    jobs = [
-        (obj, bounds[i], bounds[i + 1], bipartite)
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
+    chunks = _chunk_bounds(1 << obj.m, workers, os.cpu_count())
+    jobs = [(obj, start, stop, bipartite) for start, stop in chunks]
     with mp.Pool(len(jobs)) as pool:
         parts = pool.map(_table_worker, jobs)
     out = parts[0]
@@ -381,25 +385,13 @@ def _twin_classes(g: Graph) -> tuple[list[int], list[list[int]]]:
     """Group vertices by open neighborhood.  Returns (class sizes, quotient
     adjacency lists); two classes are adjacent iff their members are fully
     joined (automatic for equal-neighborhood classes)."""
-    nbr = [0] * g.n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    buckets: dict[int, list[int]] = {}
-    for v in range(g.n):
-        buckets.setdefault(nbr[v], []).append(v)
-    reps = list(buckets)
-    index = {key: i for i, key in enumerate(reps)}
-    sizes = [len(buckets[key]) for key in reps]
-    member = {}
-    for key, verts in buckets.items():
-        for v in verts:
-            member[v] = index[key]
-    adj: list[set[int]] = [set() for _ in reps]
+    classes = twin_classes(g)
+    member = {v: i for i, verts in enumerate(classes) for v in verts}
+    adj: list[set[int]] = [set() for _ in classes]
     for u, v in g.edges:
         adj[member[u]].add(member[v])
         adj[member[v]].add(member[u])
-    return sizes, [sorted(a) for a in adj]
+    return [len(verts) for verts in classes], [sorted(a) for a in adj]
 
 
 def count_pbis_twins(

@@ -246,6 +246,24 @@ def is_connected(g: Graph, subset: EdgeSubset | None = None) -> bool:
     return kappa <= 1
 
 
+def twin_classes(g: Graph) -> list[list[int]]:
+    """Vertices grouped by equal open neighbourhood, each class in vertex
+    order and the classes ordered by their smallest vertex.
+
+    Twins are never adjacent, and swapping two twins with a non-empty
+    neighbourhood maps edge (u, x) to (v, x) for every common neighbour x:
+    a graph automorphism that fixes every other edge.  Isolated vertices
+    form one class."""
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    buckets: dict[int, list[int]] = {}
+    for v in range(g.n):
+        buckets.setdefault(nbr[v], []).append(v)
+    return list(buckets.values())
+
+
 # ---------------------------------------------------------------------------
 # Maximum matching
 

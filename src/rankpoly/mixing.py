@@ -17,7 +17,7 @@ from itertools import permutations
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .chains import RWS, ChainParams
+from .chains import RC, RWS, ChainParams
 from .gf2 import RankProfile, zero_matrix
 from .graphs import (
     BipartiteGraph,
@@ -27,11 +27,18 @@ from .graphs import (
     TreeDecomposition,
     bipartition_of,
     components,
+    twin_classes,
 )
 
 OPTIMAL_WIDTH_LIMIT = 9
 CONGESTION_LIMIT = 13
 CHAIN_STATE_LIMIT = 16
+# start-by-state entries one tau sweep steps: every start orbit of the
+# all-starts sweep at FULL_START_SWEEP_LIMIT edges
+START_MATRIX_LIMIT = 1 << 24
+# float64 entries of the start block tau steps at once, 256 KiB, which keeps
+# the block in cache; the sweep's memory does not grow with its start orbits
+START_BLOCK_ENTRIES = 1 << 15
 FULL_START_SWEEP_LIMIT = 12
 
 
@@ -211,7 +218,14 @@ def _kappa_per_subset(g: Graph) -> list[int]:
 class ExactChain:
     """All 2^m states of a single-bond-flip chain with exact stationary
     weights; the transition operator is applied sparsely, never densified
-    beyond one row per single-edge move."""
+    beyond one row per single-edge move.
+
+    Swapping two twin vertices (equal non-empty open neighbourhoods) permutes
+    the edges, keeps |S|, kappa(S) and the bipartite rank of S (twins share
+    a neighbour, so they sit on one side of every bipartition), and so
+    commutes with the transition operator and fixes pi.  ``orbit_labels``
+    names each state's orbit under these swaps; states in one orbit have
+    the same TV curve."""
 
     def __init__(
         self,
@@ -252,6 +266,7 @@ class ExactChain:
         ]
         self.total_weight = sum(self.weights)
         self._sparse = None
+        self._orbits = None
 
     # -- exact quantities -----------------------------------------------------
 
@@ -297,24 +312,65 @@ class ExactChain:
         return w
 
     def sparse_transition(self) -> csr_matrix:
+        """P(h, h ^ 2^e) = accept / m, with accept the chain's reduced
+        (num, den) for the toggle's rank change and direction: the float
+        num / (den m) is the correctly rounded min(w_h, w_h') / (2 m w_h).
+        The holding mass 1 - sum_e P(h, h ^ 2^e) is subtracted in edge
+        order."""
         if self._sparse is None:
             n, m = self.n_states, self.m
-            rows, cols, vals = [], [], []
+            states = np.arange(n)
+            bits = 1 << np.arange(m)
+            moves = states[:, None] ^ bits
+            stat = np.array(self.statistic)
+            # rc tracks the incidence rank n - kappa: its rank change is -d kappa
+            d_rank = stat[moves] - stat[:, None]
+            if self.params.family == RC:
+                d_rank = -d_rank
+            adding = (states[:, None] & bits) == 0
+            table = np.array([[num / (den * m) for num, den in row] for row in self.params.accept])
+            probs = table[d_rank + 1, adding.astype(np.intp)]
             stay = np.ones(n)
-            for h in range(n):
-                wh = self.weights[h]
-                for e in range(m):
-                    hp = h ^ (1 << e)
-                    p = min(wh, self.weights[hp]) / (2 * m * wh)
-                    rows.append(h)
-                    cols.append(hp)
-                    vals.append(p)
-                    stay[h] -= p
-            rows.extend(range(n))
-            cols.extend(range(n))
-            vals.extend(stay)
+            for e in range(m):
+                stay -= probs[:, e]
+            rows = np.concatenate([np.repeat(states, m), states])
+            cols = np.concatenate([moves.ravel(), states])
+            vals = np.concatenate([probs.ravel(), stay])
             self._sparse = csr_matrix((vals, (rows, cols)), shape=(n, n))
         return self._sparse
+
+    def orbit_labels(self) -> np.ndarray:
+        """The smallest state of each state's orbit under the twin swaps.
+
+        Each pair of consecutive twins gives one generator, its induced state
+        permutation computed by bit swaps over all states at once; labels
+        then propagate by minimum along every generator, with pointer
+        jumping, until nothing changes."""
+        if self._orbits is None:
+            states = np.arange(self.n_states, dtype=np.int64)
+            edge_id = {frozenset(e): i for i, e in enumerate(self.graph.edges)}
+            inc = self.graph.incidence()
+            images = []
+            for verts in twin_classes(self.graph):
+                for u, v in zip(verts, verts[1:]):
+                    if not inc[u]:
+                        continue  # isolated twins touch no edge
+                    image = states.copy()
+                    for e, x in inc[u]:
+                        f = edge_id[frozenset((v, x))]
+                        swap = ((states >> e) ^ (states >> f)) & 1
+                        image ^= (swap << e) | (swap << f)
+                    images.append(image)
+            labels = states
+            while True:
+                before = labels
+                for image in images:
+                    labels = np.minimum(labels, labels[image])
+                labels = labels[labels]
+                if np.array_equal(labels, before):
+                    break
+            self._orbits = labels
+        return self._orbits
 
     def tv_curve(
         self,
@@ -351,26 +407,42 @@ class ExactChain:
         """max over starts of min{t : TV(P^t(start,.), pi) <= eps}.
 
         By default sweeps every state as a start for m <= 12, else the
-        canonical trio {empty, full, minimum-weight}.
+        canonical trio {empty, full, minimum-weight}.  Each start is replaced
+        by its orbit label, so one start per twin orbit is stepped; their
+        number times the state count is checked against START_MATRIX_LIMIT.
+        The starts are stepped in blocks of START_BLOCK_ENTRIES entries, and
+        a block drops a row as soon as that start has mixed.
         """
         if starts is None:
             starts = self.default_starts()
+        reps = np.unique(self.orbit_labels()[np.asarray(starts, dtype=np.int64)])
+        if len(reps) * self.n_states > START_MATRIX_LIMIT:
+            raise LimitExceededError(
+                f"tau over {len(reps)} start orbits of {self.n_states} states exceeds "
+                f"the {START_MATRIX_LIMIT}-entry start matrix limit"
+            )
         p = self.sparse_transition()
         pi = self.pi_float()
+        rows = max(1, START_BLOCK_ENTRIES // self.n_states)
+        blocks = (reps[i : i + rows] for i in range(0, len(reps), rows))
+        return max((self._block_mixing_time(p, pi, b, eps, tmax) for b in blocks), default=0)
+
+    def _block_mixing_time(
+        self, p: csr_matrix, pi: np.ndarray, starts: np.ndarray, eps: float, tmax: int
+    ) -> int:
         dists = np.zeros((len(starts), self.n_states))
-        for i, s in enumerate(starts):
-            dists[i, s] = 1.0
+        dists[np.arange(len(starts)), starts] = 1.0
         t = 0
-        tv = 0.5 * np.abs(dists - pi).sum(axis=1)
-        pending = tv > eps
-        while pending.any():
+        while True:
+            pending = 0.5 * np.abs(dists - pi).sum(axis=1) > eps
+            if not pending.all():
+                dists = dists[pending]
+            if not len(dists):
+                return t
             if t >= tmax:
                 raise RuntimeError(f"no mixing within {tmax} steps")
-            dists[pending] = dists[pending] @ p
+            dists = dists @ p
             t += 1
-            tv[pending] = 0.5 * np.abs(dists[pending] - pi).sum(axis=1)
-            pending = tv > eps
-        return t
 
 
 def transition_matrix(
@@ -443,7 +515,9 @@ def congestion(
         s2_snap[t] = cur
         s2k_snap[t] = curk
 
-    best_num = Fraction(-1)
+    # rho of a transition is 2 m num / (z min(w_h, w_h')); candidates compare
+    # as num / min(w_h, w_h') by cross-multiplication, first maximum kept
+    best_num, best_den = -1, 1
     best_pair = (0, 0)
     s1 = list(wt)
     s1k = [0] * n
@@ -453,9 +527,9 @@ def congestion(
         for h in range(n):
             hp = h ^ bit
             num = s1k[h] * suf[hp] + s1[h] * sufk[hp] + s1[h] * suf[hp]
-            rho = Fraction(2 * m * num, z * min(wt[h], wt[hp]))
-            if rho > best_num:
-                best_num = rho
+            den = min(wt[h], wt[hp])
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
                 best_pair = (h, hp)
         if t + 1 < m:
             new = [0] * n
@@ -466,7 +540,7 @@ def congestion(
                 newk[h] = s1k[h] + s1k[o] + s1[o]
             s1, s1k = new, newk
 
-    return CongestionResult(best_num, best_pair, ordering.width)
+    return CongestionResult(Fraction(2 * m * best_num, z * best_den), best_pair, ordering.width)
 
 
 def congestion_bound(g: Graph, params: ChainParams, width: int) -> Fraction:

@@ -80,6 +80,33 @@ class TestEval:
         assert out1 == out2
 
 
+class TestThreads:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "r2p", "--lambda", "1/2", "--mu", "1", "--threads", "0"),
+        ("count", "bis", "--threads", "-2"),
+        ("reduce", "tutte", "--x", "2", "--y", "3", "--threads", "0"),
+    ])
+    def test_below_one_is_domain_error(self, capsys, c4, argv):
+        code, out, err = run_cli(capsys, *argv[:2], "--graph", c4, *argv[2:])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--threads must be at least 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "zrc", "--q", "2", "--mu", "1"),
+        ("eval", "tutte", "--x", "2", "--y", "3"),
+        ("count", "pbis", "--eta", "1/3"),
+        ("count", "matchings"),
+        ("count", "perfect-matchings"),
+        ("count", "is"),
+    ])
+    def test_single_process_commands_refuse_threads(self, capsys, c4, argv):
+        code, out, _ = run_cli(capsys, *argv[:2], "--graph", c4, *argv[2:])
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv[:2], "--graph", c4, *argv[2:], "--threads", "2")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--threads must be 1" in err
+
+
 class TestCount:
     def test_bis_c4(self, capsys, c4):
         code, out, _ = run_cli(capsys, "count", "bis", "--graph", c4)
@@ -158,6 +185,16 @@ class TestMix:
         assert summary["tau"] >= 1
         header = csv.read_text().splitlines()[0]
         assert header.startswith("step,tv_from_")
+
+    def test_start_matrix_limit_is_one_line(self, capsys, tmp_path):
+        path17 = tmp_path / "p17.txt"
+        path17.write_text("".join(f"{i} {i + 1}\n" for i in range(16)))
+        code, out, err = run_cli(
+            capsys, "mix", "--graph", str(path17), "--family", "rws", "--lambda", "1/2",
+            "--mu", "1", "--starts", "all",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "start matrix" in err
 
     def test_empirical_mode(self, capsys, c4):
         code, out, _ = run_cli(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rankpoly.exact import (
     EvalResult,
+    _chunk_bounds,
     biclique_gadget_closed_forms,
     bipartite_rank_size_counts,
     count_bis,
@@ -320,3 +321,11 @@ def test_rank_table_row_sums_are_binomials(a, b, mask):
 
     for s in range(bip.m + 1):
         assert sum(row[s] for row in counts) == comb(bip.m, s)
+
+
+def test_chunk_bounds_clamp_to_cpus_and_subsets():
+    assert _chunk_bounds(16, 8, 2) == [(0, 8), (8, 16)]
+    assert _chunk_bounds(4, 10, 64) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert _chunk_bounds(10, 3, 8) == [(0, 3), (3, 6), (6, 10)]
+    assert _chunk_bounds(16, 3, None) == [(0, 16)]
+    assert _chunk_bounds(16, 1, 8) == [(0, 16)]

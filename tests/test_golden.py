@@ -1,9 +1,12 @@
-"""Byte-for-byte golden outputs of seeded ``rankpoly sample`` runs.
+"""Byte-for-byte golden outputs of seeded ``rankpoly sample`` runs and of
+``rankpoly mix`` (TV curve CSV plus the JSON summary).
 
-The expected files in ``tests/golden/`` were written by the chain
-implementation that predates the shared GF(2) flip path; any change to the
-random stream, the acceptance law or the cached statistic shows up here.
-Running this file as a script rewrites them from the current code.
+The ``sample`` files in ``tests/golden/`` were written by the chain
+implementation that predates the shared GF(2) flip path, and the ``mix``
+files by the mixing time that stepped every start separately; any change to
+the random stream, the acceptance law, the cached statistic, the transition
+operator or tau shows up here.  Running this file as a script rewrites them
+from the current code.
 """
 
 from __future__ import annotations
@@ -40,13 +43,37 @@ CASES = [
                               "--seed", "24", "--thin", "47"]),
 ]
 
+# (name, graph, argv after the graph file) for ``rankpoly mix``; star6 and
+# tree8 have twin leaves, C7 has none.
+MIX_CASES = [
+    ("mix_rws_star6_all", "star6.txt", ["--family", "rws", "--lambda", "3", "--mu", "2/7",
+                                        "--starts", "all"]),
+    ("mix_rws_star6_trio", "star6.txt", ["--family", "rws", "--lambda", "1/2", "--mu", "1",
+                                         "--starts", "trio", "--eps", "0.1"]),
+    ("mix_rws_tree8_all", "tree8.txt", ["--family", "rws", "--lambda", "1/2", "--mu", "1",
+                                        "--starts", "all", "--eps", "0.1"]),
+    ("mix_rws_tree8_trio", "tree8.txt", ["--family", "rws", "--lambda", "3", "--mu", "2/7",
+                                         "--starts", "trio"]),
+    ("mix_rc_c7_all", "c7.txt", ["--family", "rc", "--q", "3", "--mu", "2/7", "--starts", "all"]),
+    ("mix_rc_c7_trio", "c7.txt", ["--family", "rc", "--q", "1/2", "--mu", "1", "--starts", "trio",
+                                  "--eps", "0.1"]),
+]
 
-def sample_output(graph: str, argv: list[str]) -> str:
+
+def cli_output(argv: list[str]) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(["sample", argv[0], "--graph", str(GOLDEN / graph), *argv[1:]])
+        code = main(argv)
     assert code == 0
     return buf.getvalue()
+
+
+def sample_output(graph: str, argv: list[str]) -> str:
+    return cli_output(["sample", argv[0], "--graph", str(GOLDEN / graph), *argv[1:]])
+
+
+def mix_output(graph: str, argv: list[str]) -> str:
+    return cli_output(["mix", "--graph", str(GOLDEN / graph), *argv])
 
 
 @pytest.mark.parametrize("name,graph,argv", CASES, ids=[c[0] for c in CASES])
@@ -54,7 +81,15 @@ def test_sample_stdout_matches_golden(name, graph, argv):
     assert sample_output(graph, argv) == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name,graph,argv", MIX_CASES, ids=[c[0] for c in MIX_CASES])
+def test_mix_stdout_matches_golden(name, graph, argv):
+    assert mix_output(graph, argv) == (GOLDEN / f"{name}.out").read_text()
+
+
 if __name__ == "__main__":
     for name, graph, argv in CASES:
         (GOLDEN / f"{name}.out").write_text(sample_output(graph, argv))
+        print(name, file=sys.stderr)
+    for name, graph, argv in MIX_CASES:
+        (GOLDEN / f"{name}.out").write_text(mix_output(graph, argv))
         print(name, file=sys.stderr)

@@ -28,6 +28,7 @@ from rankpoly.graphs import (
     star_graph,
     stretch_sum,
     subset_from_edges,
+    twin_classes,
     two_stretch,
 )
 from conftest import (
@@ -334,3 +335,9 @@ class TestBipartitionHelpers:
         for _ in range(20):
             f = random_forest(rng, rng.randint(2, 10))
             bipartition_of(f)
+
+
+def test_twin_classes_group_equal_neighbourhoods():
+    g = Graph(8, ((0, 2), (0, 3), (1, 2), (1, 3), (4, 5)))
+    assert twin_classes(g) == [[0, 1], [2, 3], [4], [5], [6, 7]]
+    assert twin_classes(star_graph(4)) == [[0], [1, 2, 3, 4]]

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rankpoly
@@ -18,6 +19,7 @@ from rankpoly.graphs import (
     LimitExceededError,
     TreeDecomposition,
     bipartition_of,
+    complete_bipartite,
     complete_graph,
     components,
     cycle_graph,
@@ -27,6 +29,7 @@ from rankpoly.graphs import (
 )
 from rankpoly.mixing import (
     CONGESTION_LIMIT,
+    START_MATRIX_LIMIT,
     ExactChain,
     canonical_path,
     congestion,
@@ -512,3 +515,178 @@ class TestExactChain:
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             ExactChain(complete_graph(7), ChainParams(RC, F(1), F(1)))
+
+
+# ---------------------------------------------------------------------------
+# References for the operator, tau and congestion: the straightforward loops
+
+
+def reference_sparse_transition(chain):
+    """P built entry by entry from the integer weights."""
+    from scipy.sparse import csr_matrix
+
+    n, m = chain.n_states, chain.m
+    rows, cols, vals = [], [], []
+    stay = np.ones(n)
+    for h in range(n):
+        wh = chain.weights[h]
+        for e in range(m):
+            hp = h ^ (1 << e)
+            p = min(wh, chain.weights[hp]) / (2 * m * wh)
+            rows.append(h)
+            cols.append(hp)
+            vals.append(p)
+            stay[h] -= p
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend(stay)
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def reference_mixing_time(chain, eps, starts):
+    """Every start stepped as given, finished rows masked out."""
+    p = chain.sparse_transition()
+    pi = chain.pi_float()
+    dists = np.zeros((len(starts), chain.n_states))
+    for i, s in enumerate(starts):
+        dists[i, s] = 1.0
+    t = 0
+    tv = 0.5 * np.abs(dists - pi).sum(axis=1)
+    pending = tv > eps
+    while pending.any():
+        dists[pending] = dists[pending] @ p
+        t += 1
+        tv[pending] = 0.5 * np.abs(dists[pending] - pi).sum(axis=1)
+        pending = tv > eps
+    return t
+
+
+def reference_congestion(target, ordering, params):
+    """The prefix/suffix streaming congestion with a Fraction per candidate."""
+    chain = ExactChain(target, params)
+    wt, z, m, n, perm = chain.weights, chain.total_weight, chain.m, chain.n_states, ordering.perm
+    s2_snap, s2k_snap = {m - 1: list(wt)}, {m - 1: [0] * n}
+    for t in range(m - 2, -1, -1):
+        bit = 1 << perm[t + 1]
+        prev, prevk = s2_snap[t + 1], s2k_snap[t + 1]
+        s2_snap[t] = [prev[h] + prev[h ^ bit] for h in range(n)]
+        s2k_snap[t] = [prevk[h] + prevk[h ^ bit] + prev[h ^ bit] for h in range(n)]
+    best, best_pair = F(-1), (0, 0)
+    s1, s1k = list(wt), [0] * n
+    for t in range(m):
+        bit = 1 << perm[t]
+        suf, sufk = s2_snap[t], s2k_snap[t]
+        for h in range(n):
+            hp = h ^ bit
+            num = s1k[h] * suf[hp] + s1[h] * sufk[hp] + s1[h] * suf[hp]
+            rho = F(2 * m * num, z * min(wt[h], wt[hp]))
+            if rho > best:
+                best, best_pair = rho, (h, hp)
+        s1, s1k = ([s1[h] + s1[h ^ bit] for h in range(n)],
+                   [s1k[h] + s1k[h ^ bit] + s1[h ^ bit] for h in range(n)])
+    return best, best_pair
+
+
+def target_for(family, g):
+    if family == RWS:
+        return g if hasattr(g, "side_u") else bipartition_of(g)
+    return g.graph if hasattr(g, "graph") else g
+
+
+def tree_with_cherries(rng, n):
+    """A random tree with two extra leaves on each of two random vertices."""
+    t = random_tree(rng, n)
+    edges = list(t.edges)
+    for hub in rng.sample(range(n), 2):
+        edges += [(hub, n), (hub, n + 1)]
+        n += 2
+    return Graph(n, tuple(edges))
+
+
+PARAMS = [(F(1, 2), F(1)), (F(3), F(2, 7)), (F(2, 5), F(7, 3))]
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("family", [RWS, RC])
+    def test_orbit_counts(self, family):
+        params = ChainParams(family, F(3), F(2, 7))
+        for k in range(1, 8):
+            chain = ExactChain(target_for(family, star_graph(k)), params)
+            assert len(np.unique(chain.orbit_labels())) == k + 1
+        chain = ExactChain(target_for(family, complete_bipartite(2, 2)), params)
+        assert len(np.unique(chain.orbit_labels())) == 7
+        for n in range(4, 10):  # paths on 4+ vertices have no twins
+            chain = ExactChain(target_for(family, path_graph(n)), params)
+            assert np.array_equal(chain.orbit_labels(), np.arange(chain.n_states))
+
+    @pytest.mark.parametrize("family", [RWS, RC])
+    def test_labels_are_orbit_minima_with_constant_weight(self, family, rng):
+        for g in (star_graph(5), complete_bipartite(2, 3), tree_with_cherries(rng, 5)):
+            chain = ExactChain(target_for(family, g), ChainParams(family, F(2, 5), F(7, 3)))
+            labels = chain.orbit_labels()
+            assert all(labels[labels] == labels) and all(labels <= np.arange(chain.n_states))
+            for s, r in enumerate(labels.tolist()):
+                assert chain.weights[s] == chain.weights[r]
+                assert chain.statistic[s] == chain.statistic[r]
+                assert bin(s).count("1") == bin(r).count("1")
+
+    @pytest.mark.parametrize("family", [RWS, RC])
+    def test_mixing_time_matches_unreduced_loop(self, family, rng):
+        graphs = []
+        for _ in range(3):
+            graphs += [star_graph(rng.randint(3, 7)), tree_with_cherries(rng, rng.randint(3, 5)),
+                       complete_bipartite(rng.randint(1, 3), rng.randint(2, 3))]
+        for g in graphs:
+            lam, mu = rng.choice(PARAMS)
+            chain = ExactChain(target_for(family, g), ChainParams(family, lam, mu))
+            eps = rng.choice((0.05, 0.1, 0.25))
+            everything = list(range(chain.n_states))
+            some = rng.sample(everything, rng.randint(1, min(20, chain.n_states)))
+            for starts in (everything, some, chain.default_starts()):
+                assert chain.mixing_time(eps, starts) == reference_mixing_time(chain, eps, starts)
+
+    @pytest.mark.parametrize("family", [RWS, RC])
+    def test_start_blocks_of_any_size_give_the_same_tau(self, family, rng, monkeypatch):
+        chain = ExactChain(target_for(family, tree_with_cherries(rng, 5)), ChainParams(family, F(3), F(2, 7)))
+        everything = list(range(chain.n_states))
+        expected = reference_mixing_time(chain, 0.1, everything)
+        for rows in (1, 2, 3, 7, chain.n_states):
+            monkeypatch.setattr(rankpoly.mixing, "START_BLOCK_ENTRIES", rows * chain.n_states)
+            assert chain.mixing_time(0.1, everything) == expected
+
+    def test_no_starts_is_zero(self):
+        chain = ExactChain(star_graph(3), ChainParams(RC, F(2), F(1)))
+        assert chain.mixing_time(0.25, []) == 0
+
+    def test_start_matrix_limit_checked_before_the_operator(self):
+        chain = ExactChain(bipartition_of(path_graph(17)), ChainParams(RWS, F(1, 2), F(1)))
+        assert chain.n_states ** 2 > START_MATRIX_LIMIT
+        with pytest.raises(LimitExceededError, match="start matrix"):
+            chain.mixing_time(0.25, list(range(chain.n_states)))
+        assert chain._sparse is None
+
+    def test_start_matrix_limit_admits_the_default_sweep(self):
+        assert (1 << 12) * (1 << 12) <= START_MATRIX_LIMIT
+
+
+class TestOperatorAndCongestionReferences:
+    @pytest.mark.parametrize("lam,mu", PARAMS)
+    def test_sparse_transition_is_the_reference_matrix(self, lam, mu, rng):
+        cases = [(RWS, path_graph(6)), (RWS, complete_bipartite(2, 3)), (RC, cycle_graph(5)),
+                 (RC, random_graph(rng, 5, 0.6)), (RWS, tree_with_cherries(rng, 4))]
+        for family, g in cases:
+            if g.m == 0:
+                continue
+            chain = ExactChain(target_for(family, g), ChainParams(family, lam, mu))
+            got, ref = chain.sparse_transition(), reference_sparse_transition(chain)
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr)), (family, g, attr)
+
+    @pytest.mark.parametrize("family,g", [(RC, cycle_graph(13)), (RWS, path_graph(9)),
+                                          (RC, star_graph(6)), (RWS, cycle_graph(8))])
+    def test_congestion_matches_fraction_loop(self, family, g):
+        for lam, mu in PARAMS[:2]:
+            params = ChainParams(family, lam, mu)
+            target = target_for(family, g)
+            res = congestion(target, natural_ordering(g), params)
+            assert (res.rho, res.argmax) == reference_congestion(target, natural_ordering(g), params)
