@@ -1,12 +1,21 @@
-"""Exact brute-force evaluation of the subgraph partition functions.
+"""Exact evaluation of the subgraph partition functions.
 
 Everything here is exact rational arithmetic (``fractions.Fraction``); there
-are no floating-point paths.  Subset enumeration walks a Gray code so that
-consecutive subsets differ in one edge and the maintained elimination state
-absorbs each step as a single-entry flip.  The per-(rank, size) counts table
-is the streaming accumulator, so memory is independent of 2^m; the table is
-attached to results for small m so new parameter points can be evaluated
-without re-enumeration.  0^0 = 1 throughout.
+are no floating-point paths.  Each sum is a per-(statistic, size) counts
+table evaluated at the parameters; the table is attached to results for
+small m so new parameter points can be evaluated without re-enumeration.
+0^0 = 1 throughout.
+
+The tables follow the graph's structure.  A rank is additive over connected
+components (the matrix is block-diagonal), so the rank tables are
+convolutions of one table per component: a tree component takes a leaf-up
+matching DP (on a forest the GF(2) rank of S is its maximum matching, twice
+that for the symmetric adjacency), and any other component walks its 2^m_C
+subsets along a Gray code, so that consecutive subsets differ in one edge
+and the maintained elimination state absorbs each step as a single-entry
+flip.  A bridge lowers the component count by one whenever it is present,
+so the component table is the convolution of the walked tables of G minus
+its bridges, shifted binomially over the bridges; a forest walks nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ PBIS_ORACLE_VERTEX_LIMIT = 24
 PBIS_CLASS_BUDGET = 2_000_000
 
 Rational = Fraction
+Table = dict[tuple[int, int], int]  # {(statistic, size): count}
 
 
 @dataclass(frozen=True)
@@ -70,14 +80,145 @@ def evaluate_table(
     return total
 
 
-def _table_to_terms(counts: list[list[int]]) -> dict[tuple[int, int], int]:
+def _table_to_terms(counts: list[list[int]]) -> Table:
     return {
         (r, s): c for r, row in enumerate(counts) for s, c in enumerate(row) if c
     }
 
 
 # ---------------------------------------------------------------------------
-# Gray-code rank tables
+# Structure: components, trees and bridges
+
+
+def _edge_components(g: Graph, subset: int) -> list[tuple[list[int], Graph]]:
+    """The connected components of (V, subset) that have an edge, each as
+    (its vertices in order, itself renumbered in that order with its edges
+    in id order)."""
+    _, comps = components(g, subset)
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    edge_ids: list[list[int]] = [[] for _ in comps]
+    for e, (u, _) in enumerate(g.edges):
+        if (subset >> e) & 1:
+            edge_ids[where[u]].append(e)
+    out = []
+    for comp, ids in zip(comps, edge_ids):
+        if ids:
+            pos = {v: i for i, v in enumerate(comp)}
+            edges = tuple((pos[g.edges[e][0]], pos[g.edges[e][1]]) for e in ids)
+            out.append((comp, Graph(len(comp), edges)))
+    return out
+
+
+def _bridges(g: Graph) -> int:
+    """Bitmask of the edges on no cycle, by one iterative lowlink DFS."""
+    inc = g.incidence()
+    disc = [0] * g.n  # discovery times from 1; 0 is unvisited
+    low = [0] * g.n
+    clock = 0
+    mask = 0
+    for root in range(g.n):
+        if disc[root] or not inc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, -1, iter(inc[root]))]
+        while stack:
+            v, via, it = stack[-1]
+            for e, w in it:
+                if e == via:
+                    continue
+                if disc[w]:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, e, iter(inc[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > disc[u]:
+                        mask |= 1 << via
+    return mask
+
+
+def _add(*tables: Table) -> Table:
+    out: Table = {}
+    for t in tables:
+        for key, c in t.items():
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def _shift(t: Table, dr: int, ds: int) -> Table:
+    return {(r + dr, s + ds): c for (r, s), c in t.items()}
+
+
+def _convolve(a: Table, b: Table) -> Table:
+    """The table of disjoint unions: statistics add and sizes add."""
+    out: Table = {}
+    for (r1, s1), c1 in a.items():
+        for (r2, s2), c2 in b.items():
+            key = (r1 + r2, s1 + s2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _to_counts(parts: list[Table], rows: int, m: int) -> list[list[int]]:
+    total: Table = {(0, 0): 1}
+    for part in parts:
+        total = _convolve(total, part)
+    counts = [[0] * (m + 1) for _ in range(rows)]
+    for (r, s), c in total.items():
+        counts[r][s] = c
+    return counts
+
+
+def _tree_matching_table(t: Graph) -> Table:
+    """{(nu, s): count} over the edge subsets S of the tree t, nu the
+    maximum matching of S.
+
+    Leaf-up DP from root 0: each vertex keeps the table of its subtree
+    split by whether the greedy leaf-up matching (match a vertex to a free
+    child when it has one) leaves the vertex free or matched.  The edge to
+    a child is absent, or present with the child matched (no change), or
+    present with the child free, which matches a free parent (nu + 1)."""
+    inc = t.incidence()
+    parent = [-1] * t.n
+    order = [0]
+    for v in order:
+        for _, w in inc[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    free: list[Table] = [{(0, 0): 1} for _ in range(t.n)]
+    matched: list[Table] = [{} for _ in range(t.n)]
+    for c in reversed(order[1:]):
+        p = parent[c]
+        child_free, child_matched = free[c], matched[c]
+        keep = _add(child_free, child_matched, _shift(child_matched, 0, 1))
+        free[p], matched[p] = (
+            _convolve(free[p], keep),
+            _add(
+                _convolve(matched[p], _add(keep, _shift(child_free, 0, 1))),
+                _convolve(free[p], _shift(child_free, 1, 1)),
+            ),
+        )
+    return _add(free[0], matched[0])
+
+
+def _walked(obj, workers: int, bipartite: bool) -> Table:
+    """The Gray-code table of one component, in processes if ``workers > 1``."""
+    if workers > 1:
+        return _table_to_terms(_parallel_table(obj, workers, bipartite))
+    chunk = _bipartite_table_chunk if bipartite else _graph_table_chunk
+    return _table_to_terms(chunk(obj, 0, 1 << obj.m))
+
+
+# ---------------------------------------------------------------------------
+# Rank tables
 
 
 def bipartite_rank_size_counts(
@@ -86,9 +227,16 @@ def bipartite_rank_size_counts(
     """counts[r][s] = number of edge subsets of size s whose bipartite
     adjacency matrix has rank r."""
     _check_limit(b.m, max_edges)
-    if workers > 1:
-        return _parallel_table(b, workers, bipartite=True)
-    return _bipartite_table_chunk(b, 0, 1 << b.m)
+    side_u = set(b.side_u)
+    parts = []
+    for verts, sub in _edge_components(b.graph, b.graph.full_subset()):
+        if sub.m == sub.n - 1:
+            parts.append(_tree_matching_table(sub))
+        else:
+            u = tuple(i for i, v in enumerate(verts) if v in side_u)
+            w = tuple(i for i, v in enumerate(verts) if v not in side_u)
+            parts.append(_walked(BipartiteGraph(sub, u, w), workers, bipartite=True))
+    return _to_counts(parts, min(len(b.side_u), len(b.side_w)) + 1, b.m)
 
 
 def _bipartite_table_chunk(b: BipartiteGraph, start: int, stop: int) -> list[list[int]]:
@@ -123,9 +271,13 @@ def graph_rank_size_counts(
     """counts[r][s] over subsets, with r the rank of the full (symmetric,
     zero-diagonal) adjacency matrix of (V, S)."""
     _check_limit(g.m, max_edges)
-    if workers > 1:
-        return _parallel_table(g, workers, bipartite=False)
-    return _graph_table_chunk(g, 0, 1 << g.m)
+    parts = []
+    for _, sub in _edge_components(g, g.full_subset()):
+        if sub.m == sub.n - 1:
+            parts.append({(2 * nu, s): c for (nu, s), c in _tree_matching_table(sub).items()})
+        else:
+            parts.append(_walked(sub, workers, bipartite=False))
+    return _to_counts(parts, g.n + 1, g.m)
 
 
 def _graph_table_chunk(g: Graph, start: int, stop: int) -> list[list[int]]:
@@ -225,8 +377,27 @@ def r2(
 
 
 def component_size_counts(g: Graph, max_edges: int | None = None) -> list[list[int]]:
-    """counts[kappa][s] = number of subsets of size s with kappa components."""
+    """counts[kappa][s] = number of subsets of size s with kappa components.
+
+    With B the bridges, kappa(S) = kappa_{G-B}(S - B) - |S & B|: the
+    components of G - B with an edge walk their subsets, every other vertex
+    adds one component, and choosing j of the bridges (C(|B|, j) ways)
+    lowers kappa by j and raises |S| by j."""
     _check_limit(g.m, max_edges)
+    bridges = _bridges(g)
+    isolated = g.n
+    parts = []
+    for verts, sub in _edge_components(g, g.full_subset() & ~bridges):
+        parts.append(_table_to_terms(_component_table_walk(sub)))
+        isolated -= len(verts)
+    parts.append({(isolated, 0): 1})
+    nb = bin(bridges).count("1")
+    parts.append({(-j, j): comb(nb, j) for j in range(nb + 1)})
+    return _to_counts(parts, g.n + 1, g.m)
+
+
+def _component_table_walk(g: Graph) -> list[list[int]]:
+    """counts[kappa][s] by a union-find pass over every subset."""
     m, n = g.m, g.n
     counts = [[0] * (m + 1) for _ in range(n + 1)]
     edges = g.edges
@@ -398,7 +569,14 @@ def count_pbis_twins(
     g: Graph | BipartiteGraph, eta: Fraction, class_budget: int = PBIS_CLASS_BUDGET
 ) -> Fraction:
     """Labeling sum regrouped over classes of vertices with equal
-    neighborhoods; exact for any graph, fast when there are few classes."""
+    neighborhoods; exact for any graph, fast when there are few classes.
+
+    Label counts are enumerated only on the classes outside an independent
+    set B of the class quotient, chosen greedily, largest first.  With those
+    fixed, the n_b members of a class b in B each see N_b neighbours, S_b of
+    them labelled 1, and together contribute
+    ((1+eta)^S_b (1-eta)^(N_b-S_b) + (1-eta)^N_b)^n_b.  The sum is taken in
+    integers with one division at the end, so eta = +-1 stays exact."""
     if isinstance(g, BipartiteGraph):
         g = g.graph
     eta = Fraction(eta)
@@ -408,24 +586,43 @@ def count_pbis_twins(
         work *= s + 1
         if work > class_budget:
             raise LimitExceededError("too many twin-class label vectors")
-    pairs = [(i, j) for i in range(len(sizes)) for j in adj[i] if j > i]
-    m = g.m
-    by_w: dict[int, int] = {}
+    in_b = [False] * len(sizes)
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        in_b[i] = not any(in_b[j] for j in adj[i])
+    rest = [i for i in range(len(sizes)) if not in_b[i]]
+    closed = [i for i in range(len(sizes)) if in_b[i]]
+    pairs = [(i, j) for i in rest for j in adj[i] if j > i and not in_b[j]]
+    e_rest = sum(sizes[i] * sizes[j] for i, j in pairs)
+    by_key: dict[tuple[int, ...], int] = {}
+    hs = [0] * len(sizes)
 
-    def rec(i: int, hs: list[int], mult: int) -> None:
-        if i == len(sizes):
-            w = sum(hs[a] * hs[b] for a, b in pairs)
-            by_w[w] = by_w.get(w, 0) + mult
+    def rec(k: int, mult: int) -> None:
+        if k == len(rest):
+            w = sum(hs[i] * hs[j] for i, j in pairs)
+            key = (w, *(sum(hs[a] for a in adj[b]) for b in closed))
+            by_key[key] = by_key.get(key, 0) + mult
             return
+        i = rest[k]
         for h in range(sizes[i] + 1):
-            hs.append(h)
-            rec(i + 1, hs, mult * comb(sizes[i], h))
-            hs.pop()
+            hs[i] = h
+            rec(k + 1, mult * comb(sizes[i], h))
 
-    rec(0, [], 1)
-    up = _powers(1 + eta, m)
-    down = _powers(1 - eta, m)
-    return sum((c * up[w] * down[m - w] for w, c in by_w.items()), Fraction(0))
+    rec(0, 1)
+    # Every edge weighs (d +- a) / d for eta = a / d: sum integers, divide once.
+    a, d = eta.numerator, eta.denominator
+    up = [(d + a) ** k for k in range(g.m + 1)]
+    down = [(d - a) ** k for k in range(g.m + 1)]
+    factors = []
+    for b in closed:
+        nb = sum(sizes[i] for i in adj[b])
+        factors.append([(up[s] * down[nb - s] + down[nb]) ** sizes[b] for s in range(nb + 1)])
+    total = 0
+    for (w, *ss), c in by_key.items():
+        term = c * up[w] * down[e_rest - w]
+        for f, s in zip(factors, ss):
+            term *= f[s]
+        total += term
+    return Fraction(total, d**g.m)
 
 
 def count_pbis_auto(

@@ -267,6 +267,7 @@ class ExactChain:
         self.total_weight = sum(self.weights)
         self._sparse = None
         self._orbits = None
+        self._pi_float = None
 
     # -- exact quantities -----------------------------------------------------
 
@@ -308,8 +309,12 @@ class ExactChain:
     # -- float evolution ------------------------------------------------------
 
     def pi_float(self) -> np.ndarray:
-        w = np.array([float(Fraction(x, self.total_weight)) for x in self.weights])
-        return w
+        """pi as correctly rounded floats; computed once, read-only."""
+        if self._pi_float is None:
+            pi = np.array([float(Fraction(x, self.total_weight)) for x in self.weights])
+            pi.flags.writeable = False
+            self._pi_float = pi
+        return self._pi_float
 
     def sparse_transition(self) -> csr_matrix:
         """P(h, h ^ 2^e) = accept / m, with accept the chain's reduced
@@ -407,15 +412,19 @@ class ExactChain:
         """max over starts of min{t : TV(P^t(start,.), pi) <= eps}.
 
         By default sweeps every state as a start for m <= 12, else the
-        canonical trio {empty, full, minimum-weight}.  Each start is replaced
-        by its orbit label, so one start per twin orbit is stepped; their
-        number times the state count is checked against START_MATRIX_LIMIT.
-        The starts are stepped in blocks of START_BLOCK_ENTRIES entries, and
-        a block drops a row as soon as that start has mixed.
+        canonical trio {empty, full, minimum-weight}.  When the distinct
+        starts fill more than one block of START_BLOCK_ENTRIES entries, each
+        is replaced by its orbit label, so one start per twin orbit is
+        stepped; the number stepped times the state count is checked against
+        START_MATRIX_LIMIT.  The starts are stepped in blocks, and a block
+        drops a row as soon as that start has mixed.
         """
         if starts is None:
             starts = self.default_starts()
-        reps = np.unique(self.orbit_labels()[np.asarray(starts, dtype=np.int64)])
+        reps = np.unique(np.asarray(starts, dtype=np.int64))
+        rows = max(1, START_BLOCK_ENTRIES // self.n_states)
+        if len(reps) > rows:
+            reps = np.unique(self.orbit_labels()[reps])
         if len(reps) * self.n_states > START_MATRIX_LIMIT:
             raise LimitExceededError(
                 f"tau over {len(reps)} start orbits of {self.n_states} states exceeds "
@@ -423,7 +432,6 @@ class ExactChain:
             )
         p = self.sparse_transition()
         pi = self.pi_float()
-        rows = max(1, START_BLOCK_ENTRIES // self.n_states)
         blocks = (reps[i : i + rows] for i in range(0, len(reps), rows))
         return max((self._block_mixing_time(p, pi, b, eps, tmax) for b in blocks), default=0)
 

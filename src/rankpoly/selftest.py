@@ -120,6 +120,37 @@ def check_matching_rank() -> tuple[bool, str]:
     return True, "forest rank equals maximum matching"
 
 
+def check_structure_routes() -> tuple[bool, str]:
+    """The tables routed by structure (component factors, the tree matching
+    DP, the bridge shift) against the plain walk over every subset."""
+    rng = random.Random(13)
+    for trial in range(40):
+        t = _random_tree(rng, rng.randint(2, 9))
+        depth = [0] * t.n
+        for u, v in t.edges:
+            depth[v] = depth[u] + 1
+        chords = [
+            (u, v) for u in range(t.n) for v in range(u + 1, t.n)
+            if (depth[u] + depth[v]) % 2 and (u, v) not in t.edges
+        ]
+        extra = rng.sample(chords, min(len(chords), trial % 3))
+        # drop an edge to split the tree, and add isolated vertices
+        edges = [e for i, e in enumerate(t.edges) if i != trial % t.m] + extra
+        g = graphs.Graph(t.n + trial % 2, tuple(edges))
+        full = 1 << g.m
+        b = graphs.bipartition_of(g)
+        if exact.bipartite_rank_size_counts(b) != exact._bipartite_table_chunk(b, 0, full):
+            return False, f"bipartite rank table, trial {trial}"
+        if exact.graph_rank_size_counts(g) != exact._graph_table_chunk(g, 0, full):
+            return False, f"adjacency rank table, trial {trial}"
+        walk = [[0] * (g.m + 1) for _ in range(g.n + 1)]
+        for s in range(full):
+            walk[graphs.components(g, s)[0]][bin(s).count("1")] += 1
+        if exact.component_size_counts(g) != walk:
+            return False, f"component table, trial {trial}"
+    return True, "routed tables equal the subset walk on forests and bridged graphs"
+
+
 def check_detailed_balance() -> tuple[bool, str]:
     cases = [
         (graphs.path_graph(2), RWS),
@@ -214,6 +245,7 @@ QUICK_GROUPS = {
     "special-points": check_special_points,
     "gadget-closed-forms": check_gadget_forms,
     "matching-rank": check_matching_rank,
+    "structure-routes": check_structure_routes,
     "detailed-balance": check_detailed_balance,
     "crt-roundtrip": check_crt_roundtrip,
     "sampler-determinism": check_sampler_determinism,

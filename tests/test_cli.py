@@ -314,3 +314,20 @@ class TestGraphIo:
         assert code == 1
         report = json.loads(out.splitlines()[-1])
         assert report["rank-flip-consistency"] is False
+
+    def test_selftest_detects_broken_tree_table(self, capsys, monkeypatch):
+        from rankpoly import exact
+
+        original = exact._tree_matching_table
+
+        def corrupted(t):
+            table = original(t)
+            if t.m >= 3:
+                table[(0, 0)] += 1
+            return table
+
+        monkeypatch.setattr(exact, "_tree_matching_table", corrupted)
+        code, out, _ = run_cli(capsys, "selftest", "--quick")
+        assert code == 1
+        report = json.loads(out.splitlines()[-1])
+        assert report["structure-routes"] is False

@@ -5,13 +5,15 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from rankpoly import gf2
 from rankpoly.exact import (
     EvalResult,
     _chunk_bounds,
     biclique_gadget_closed_forms,
     bipartite_rank_size_counts,
+    component_size_counts,
     count_bis,
     count_bis_oracle,
     count_independent_sets,
@@ -23,6 +25,7 @@ from rankpoly.exact import (
     count_perfect_matchings,
     evaluate_table,
     fan_gadget_closed_forms,
+    graph_rank_size_counts,
     purity_split_sums,
     r2,
     r2_prime,
@@ -329,3 +332,104 @@ def test_chunk_bounds_clamp_to_cpus_and_subsets():
     assert _chunk_bounds(10, 3, 8) == [(0, 3), (3, 6), (6, 10)]
     assert _chunk_bounds(16, 3, None) == [(0, 16)]
     assert _chunk_bounds(16, 1, 8) == [(0, 16)]
+
+
+# ---------------------------------------------------------------------------
+# The routed tables (component factors, tree DP, bridges) against tables built
+# subset by subset from scratch.
+
+
+@st.composite
+def structured_graphs(draw, bipartite: bool = False) -> Graph:
+    """A random forest (a vertex without a parent starts a new tree, so
+    isolated vertices and several components occur), plus up to four chords,
+    at most 12 edges, vertex ids shuffled.  With ``bipartite`` the chords
+    join vertices of opposite depth parity."""
+    n = draw(st.integers(0, 11))
+    depth = [0] * n
+    edges = []
+    for i in range(1, n):
+        p = draw(st.none() | st.integers(0, i - 1))
+        if p is not None:
+            edges.append((p, i))
+            depth[i] = depth[p] + 1
+    pairs = [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if (i, j) not in edges and (not bipartite or (depth[i] + depth[j]) % 2)
+    ]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, tuple((perm[u], perm[v]) for u, v in edges[:12]))
+
+
+def scratch_table(g: Graph, rows: int, statistic) -> list[list[int]]:
+    counts = [[0] * (g.m + 1) for _ in range(rows)]
+    for s in range(1 << g.m):
+        counts[statistic(s)][bin(s).count("1")] += 1
+    return counts
+
+
+@given(structured_graphs(bipartite=True))
+@example(Graph(0, ()))
+@example(Graph(4, ()))
+@settings(max_examples=150, deadline=None)
+def test_bipartite_rank_table_matches_scratch(g):
+    b = bipartition_of(g)
+    rows = min(len(b.side_u), len(b.side_w)) + 1
+    want = scratch_table(g, rows, lambda s: gf2.rank(gf2.bipartite_adjacency(b, s)))
+    assert bipartite_rank_size_counts(b) == want
+
+
+@given(structured_graphs())
+@example(Graph(0, ()))
+@example(Graph(4, ()))
+@settings(max_examples=150, deadline=None)
+def test_graph_rank_table_matches_scratch(g):
+    want = scratch_table(g, g.n + 1, lambda s: gf2.rank(gf2.adjacency(g, s)))
+    assert graph_rank_size_counts(g) == want
+
+
+@given(structured_graphs())
+@example(Graph(0, ()))
+@example(Graph(4, ()))
+@settings(max_examples=150, deadline=None)
+def test_component_table_matches_scratch(g):
+    want = scratch_table(g, g.n + 1, lambda s: components(g, s)[0])
+    assert component_size_counts(g) == want
+
+
+def test_routed_tables_agree_across_workers():
+    # two walked components (a 4-cycle, a triangle with a tail), a tree and
+    # an isolated vertex
+    g = Graph(13, ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4), (6, 7),
+                   (8, 9), (9, 10), (9, 11)))
+    assert graph_rank_size_counts(g, workers=2) == graph_rank_size_counts(g)
+    b = bipartition_of(Graph(13, g.edges[:4] + g.edges[7:] + ((4, 5), (5, 12), (12, 7), (7, 4))))
+    assert bipartite_rank_size_counts(b, workers=2) == bipartite_rank_size_counts(b)
+
+
+def test_limit_checked_on_the_whole_graph():
+    # 27 edges in 27 disjoint components, each trivially cheap
+    g = Graph(54, tuple((2 * i, 2 * i + 1) for i in range(27)))
+    for build in (graph_rank_size_counts, component_size_counts):
+        with pytest.raises(LimitExceededError, match="27 edges exceeds enumeration limit 26"):
+            build(g)
+    with pytest.raises(LimitExceededError, match="27 edges exceeds enumeration limit 26"):
+        bipartite_rank_size_counts(bipartition_of(g))
+
+
+TWIN_CASES = [
+    complete_bipartite(2, 3).graph,
+    complete_bipartite(3, 1).graph,
+    cloud_blowup(path_graph(2), 3, 1).graph,
+    cloud_blowup(path_graph(3), 3, 1).graph,
+    cycle_graph(5),
+    Graph(8, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))),  # K2,3 and an isolated class
+]
+
+
+@pytest.mark.parametrize("g", TWIN_CASES, ids=["K2,3", "K3,1", "cloudP2", "cloudP3", "C5", "K2,3+3"])
+@pytest.mark.parametrize("eta", [F(1), F(-1), F(1, 3), F(3)])
+def test_twin_closed_form_matches_labeling_oracle(g, eta):
+    assert count_pbis_twins(g, eta) == count_pbis_oracle(g, eta)

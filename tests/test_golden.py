@@ -1,12 +1,14 @@
-"""Byte-for-byte golden outputs of seeded ``rankpoly sample`` runs and of
-``rankpoly mix`` (TV curve CSV plus the JSON summary).
+"""Byte-for-byte golden outputs of seeded ``rankpoly sample`` runs, of
+``rankpoly mix`` (TV curve CSV plus the JSON summary), and of the exact
+``eval``, ``count`` and ``reduce`` commands.
 
 The ``sample`` files in ``tests/golden/`` were written by the chain
-implementation that predates the shared GF(2) flip path, and the ``mix``
-files by the mixing time that stepped every start separately; any change to
-the random stream, the acceptance law, the cached statistic, the transition
-operator or tau shows up here.  Running this file as a script rewrites them
-from the current code.
+implementation that predates the shared GF(2) flip path, the ``mix`` files
+by the mixing time that stepped every start separately, and the exact files
+by the tables that walked every edge subset; any change to the random
+stream, the acceptance law, the cached statistic, the transition operator,
+tau, a (statistic, size) table or a reduction certificate shows up here.
+Running this file as a script rewrites them from the current code.
 """
 
 from __future__ import annotations
@@ -59,6 +61,39 @@ MIX_CASES = [
                                   "--eps", "0.1"]),
 ]
 
+# (name, command words, graph, options) for the exact commands.  forest14
+# is a forest with an isolated vertex; bridged13 has bridges between a
+# triangle, a 4-cycle and a pendant path, an isolated vertex and a separate
+# triangle; bipsplit is a bipartite graph with four components, given with
+# its sides.  --max-edges 4 sends ``count pbis`` to the twin-class route.
+EXACT_CASES = [
+    ("eval_r2p_forest14", ["eval", "r2p"], "forest14.json", ["--lambda", "3", "--mu", "2/7"]),
+    ("eval_r2p_bipsplit", ["eval", "r2p"], "bipsplit.json", ["--lambda", "1/2", "--mu=-2/3"]),
+    ("eval_r2_bridged13", ["eval", "r2"], "bridged13.json", ["--lambda", "3", "--mu", "2/7"]),
+    ("eval_r2_forest14", ["eval", "r2"], "forest14.json", ["--lambda=-2", "--mu", "5/3"]),
+    ("eval_zrc_bridged13", ["eval", "zrc"], "bridged13.json", ["--q", "3", "--mu", "2/7"]),
+    ("eval_zrc_forest14", ["eval", "zrc"], "forest14.json", ["--q", "1/2", "--mu=-4"]),
+    ("eval_zrc_bipsplit", ["eval", "zrc"], "bipsplit.json", ["--q", "2", "--mu", "1"]),
+    ("eval_tutte_bridged13", ["eval", "tutte"], "bridged13.json", ["--x", "2", "--y", "3"]),
+    ("eval_tutte_forest14", ["eval", "tutte"], "forest14.json", ["--x=-3", "--y", "1/2"]),
+    ("eval_tutte_bipsplit", ["eval", "tutte"], "bipsplit.json", ["--x", "1", "--y", "1"]),
+    ("count_bis_forest14", ["count", "bis"], "forest14.json", []),
+    ("count_bis_bipsplit", ["count", "bis"], "bipsplit.json", []),
+    ("count_matchings_bridged13", ["count", "matchings"], "bridged13.json", []),
+    ("count_matchings_forest14", ["count", "matchings"], "forest14.json", []),
+    ("count_pm_bip5x5", ["count", "perfect-matchings"], "bip5x5.json", []),
+    ("count_pm_c8", ["count", "perfect-matchings"], "c8.txt", []),
+    ("count_pm_forest14", ["count", "perfect-matchings"], "forest14.json", []),
+    ("count_pbis_bipsplit", ["count", "pbis"], "bipsplit.json", ["--eta", "1/3"]),
+    ("count_pbis_bipsplit_twins", ["count", "pbis"], "bipsplit.json", ["--eta", "1/3", "--max-edges", "4"]),
+    ("count_pbis_bipsplit_twins_m1", ["count", "pbis"], "bipsplit.json", ["--eta=-1", "--max-edges", "4"]),
+    ("count_pbis_bip5x5_twins", ["count", "pbis"], "bip5x5.json", ["--eta", "3", "--max-edges", "4"]),
+    ("count_pbis_bip5x5_twins_p1", ["count", "pbis"], "bip5x5.json", ["--eta", "1", "--max-edges", "4"]),
+    ("reduce_tutte_k2", ["reduce", "tutte"], "k2.txt", ["--x=-3", "--y", "5"]),
+    ("reduce_tutte_c3", ["reduce", "tutte"], "c3.txt", ["--x=-3", "--y", "2"]),
+    ("reduce_bis_p3", ["reduce", "bis"], "p3.txt", ["--eta", "7/9"]),
+]
+
 
 def cli_output(argv: list[str]) -> str:
     buf = io.StringIO()
@@ -76,6 +111,10 @@ def mix_output(graph: str, argv: list[str]) -> str:
     return cli_output(["mix", "--graph", str(GOLDEN / graph), *argv])
 
 
+def exact_output(words: list[str], graph: str, options: list[str]) -> str:
+    return cli_output([*words, "--graph", str(GOLDEN / graph), *options])
+
+
 @pytest.mark.parametrize("name,graph,argv", CASES, ids=[c[0] for c in CASES])
 def test_sample_stdout_matches_golden(name, graph, argv):
     assert sample_output(graph, argv) == (GOLDEN / f"{name}.out").read_text()
@@ -86,10 +125,18 @@ def test_mix_stdout_matches_golden(name, graph, argv):
     assert mix_output(graph, argv) == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name,words,graph,options", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+def test_exact_stdout_matches_golden(name, words, graph, options):
+    assert exact_output(words, graph, options) == (GOLDEN / f"{name}.out").read_text()
+
+
 if __name__ == "__main__":
     for name, graph, argv in CASES:
         (GOLDEN / f"{name}.out").write_text(sample_output(graph, argv))
         print(name, file=sys.stderr)
     for name, graph, argv in MIX_CASES:
         (GOLDEN / f"{name}.out").write_text(mix_output(graph, argv))
+        print(name, file=sys.stderr)
+    for name, words, graph, options in EXACT_CASES:
+        (GOLDEN / f"{name}.out").write_text(exact_output(words, graph, options))
         print(name, file=sys.stderr)

@@ -29,6 +29,7 @@ from rankpoly.graphs import (
 )
 from rankpoly.mixing import (
     CONGESTION_LIMIT,
+    START_BLOCK_ENTRIES,
     START_MATRIX_LIMIT,
     ExactChain,
     canonical_path,
@@ -452,6 +453,14 @@ class TestExactChain:
                 mass += pi[h] * chain.transition_prob(h, hp)
             assert mass == pi[hp]
 
+    def test_pi_float_is_computed_once_and_read_only(self):
+        chain = ExactChain(cycle_graph(5), ChainParams(RC, F(1, 3), F(7)))
+        pi = chain.pi_float()
+        assert pi is chain.pi_float()
+        assert pi.tolist() == [float(x) for x in chain.pi_exact()]
+        with pytest.raises(ValueError):
+            pi[0] = 0.0
+
     def test_detailed_balance_exact(self):
         for g, fam in ((path_graph(4), RWS), (cycle_graph(4), RC)):
             target = bipartition_of(g) if fam == RWS else g
@@ -653,6 +662,16 @@ class TestOrbits:
         for rows in (1, 2, 3, 7, chain.n_states):
             monkeypatch.setattr(rankpoly.mixing, "START_BLOCK_ENTRIES", rows * chain.n_states)
             assert chain.mixing_time(0.1, everything) == expected
+
+    def test_orbits_labelled_only_past_one_block(self):
+        chain = ExactChain(star_graph(12), ChainParams(RC, F(3), F(2, 7)))
+        trio = sorted({0, chain.n_states - 1, min(range(chain.n_states), key=chain.weights.__getitem__)})
+        assert len(trio) <= START_BLOCK_ENTRIES // chain.n_states
+        tau = chain.mixing_time(0.25, trio)
+        assert chain._orbits is None
+        assert tau == reference_mixing_time(chain, 0.25, trio)
+        chain.mixing_time(0.25)
+        assert chain._orbits is not None
 
     def test_no_starts_is_zero(self):
         chain = ExactChain(star_graph(3), ChainParams(RC, F(2), F(1)))
