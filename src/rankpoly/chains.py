@@ -2,16 +2,18 @@
 
 Both chains pick a uniform edge e, propose toggling it in the current
 subset, and accept with probability (1/2) * min(1, weight ratio); rejected
-mass stays on the current state.  Both track one GF(2) rank under the entry
-flips of an edge toggle: the rank-weighted chain the rank of the |U| x |W|
-bipartite adjacency matrix (one flip per edge), the random-cluster chain
-the rank of the n x m vertex-by-edge incidence matrix (two flips per edge),
-whose component count is kappa(S) = n - rank.  The weight ratio of a toggle
-is therefore lam^(d rank) * mu^(+-1) for rws and q^(-d rank) * mu^(+-1) for
-rc.  Since d rank is -1, 0 or 1, the six acceptance probabilities are
-precomputed per parameter set as reduced integer fractions num/den and
-tested with ``randrange(den) < num``, the exact draw ``bernoulli`` makes,
-so a seeded run is bit-reproducible.
+mass stays on the current state.  Both track one GF(2) rank, and toggling
+e is one rank-1 update M + u v^T of its matrix: for the rank-weighted chain
+the |U| x |W| bipartite adjacency (u, v the unit vectors of e's ends), for
+the random-cluster chain the n x m vertex-by-edge incidence (u the two ends
+of e, v the unit vector of column e), whose component count is
+kappa(S) = n - rank.  The weight ratio of a toggle is therefore
+lam^(d rank) * mu^(+-1) for rws and q^(-d rank) * mu^(+-1) for rc.  A step
+reads d rank with the read-only ``RankProfile.delta_if_flip`` and applies
+the update only when the toggle is accepted.  Since d rank is -1, 0 or 1,
+the six acceptance probabilities are precomputed per parameter set as
+reduced integer fractions num/den and tested with ``randrange(den) < num``,
+the exact draw ``bernoulli`` makes, so a seeded run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -63,7 +65,11 @@ class ChainParams:
 
 class ChainState:
     """Single-owner mutable state: current subset plus a ``RankProfile`` of
-    its bipartite adjacency (rws) or incidence (rc) matrix."""
+    its bipartite adjacency (rws) or incidence (rc) matrix.
+
+    ``toggles[e]`` is the (rows, cols) bitmask pair of the rank-1 update
+    that toggles edge e.  A step probes the rank change first and mutates
+    the profile and the subset only when the toggle is accepted."""
 
     def __init__(self, g: Graph | BipartiteGraph, params: ChainParams, subset: EdgeSubset = 0):
         self.params = params
@@ -75,12 +81,12 @@ class ChainState:
                 raise ValueError("the rank-weighted chain needs a bipartite graph")
             self.bip = g
             self.graph = g.graph
-            self.flips = [((ui, wi),) for ui, wi in g.oriented_edges()]
+            self.toggles = [(1 << ui, 1 << wi) for ui, wi in g.oriented_edges()]
             matrix = bipartite_adjacency(g, subset)
         else:
             self.graph = g.graph if isinstance(g, BipartiteGraph) else g
             self.bip = None
-            self.flips = [((u, e), (v, e)) for e, (u, v) in enumerate(self.graph.edges)]
+            self.toggles = [((1 << u) | (1 << v), 1 << e) for e, (u, v) in enumerate(self.graph.edges)]
             matrix = incidence(self.graph, subset)
         self.m = self.graph.m
         if self.m == 0:
@@ -105,33 +111,20 @@ class ChainState:
         kappa, _ = components(self.graph, self.subset)
         return kappa
 
-    def _toggle(self, e: int) -> None:
-        for i, j in self.flips[e]:
-            self.profile.flip_entry(i, j)
-
     def rc_delta_kappa(self, e: int) -> int:
         """Component-count change if edge e were toggled (state unchanged)."""
-        before = self.kappa
-        self._toggle(e)
-        after = self.kappa
-        self._toggle(e)
-        return after - before
+        return -self.profile.delta_if_flip(*self.toggles[e])
 
     def step(self, rng: SplitMix64) -> None:
         e = rng.randrange(self.m)
         bit = 1 << e
-        profile = self.profile
-        old_rank = profile.rank
-        flips = self.flips[e]
-        for i, j in flips:
-            profile.flip_entry(i, j)
-        num, den = self.params.accept[profile.rank - old_rank + 1][not self.subset & bit]
+        rows, cols = self.toggles[e]
+        d = self.profile.delta_if_flip(rows, cols)
+        num, den = self.params.accept[d + 1][not self.subset & bit]
         if rng.randrange(den) < num:
+            self.profile.flip(rows, cols)
             self.subset ^= bit
             self.accepts += 1
-        else:
-            for i, j in flips:
-                profile.flip_entry(i, j)  # undo: entry flips are involutions
         self.steps += 1
 
 
@@ -172,8 +165,9 @@ def run(
     ``burnin``.  ``debug_check`` recomputes the cached statistic from
     scratch after every step.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    for name, value in (("steps", steps), ("burnin", burnin), ("thin", thin)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     state = ChainState(g, params, initial)
     rng = SplitMix64(seed)
     samples: list[EdgeSubset] = []

@@ -240,6 +240,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_mix(args) -> int:
+    if not 0 < args.eps < 1:  # also false for nan and inf
+        raise ValueError(f"eps must lie strictly between 0 and 1, got {args.eps}")
     from . import mixing
 
     g, bip = graphio.load_graph(args.graph, args.format)

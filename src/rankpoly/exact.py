@@ -242,25 +242,25 @@ def bipartite_rank_size_counts(
 def _bipartite_table_chunk(b: BipartiteGraph, start: int, stop: int) -> list[list[int]]:
     m = b.m
     nu, nw = len(b.side_u), len(b.side_w)
-    oriented = b.oriented_edges()
+    toggles = [(1 << ui, 1 << wi) for ui, wi in b.oriented_edges()]
     counts = [[0] * (m + 1) for _ in range(min(nu, nw) + 1)]
     cur = start ^ (start >> 1)
     prof = RankProfile(zero_matrix(nu, nw))
+    flip = prof.flip
     size = 0
     v = cur
     while v:
         e = (v & -v).bit_length() - 1
-        prof.flip_entry(*oriented[e])
+        flip(*toggles[e])
         size += 1
         v &= v - 1
     counts[prof.rank][size] += 1
-    flip = prof.flip_entry
     for t in range(start + 1, stop):
         e = (t & -t).bit_length() - 1
         bit = 1 << e
         cur ^= bit
         size += 1 if cur & bit else -1
-        r = flip(*oriented[e])
+        r = flip(*toggles[e])
         counts[r][size] += 1
     return counts
 
@@ -285,26 +285,26 @@ def _graph_table_chunk(g: Graph, start: int, stop: int) -> list[list[int]]:
     counts = [[0] * (m + 1) for _ in range(n + 1)]
     cur = start ^ (start >> 1)
     prof = RankProfile(zero_matrix(n, n))
+    flip = prof.flip
+    ends = [(1 << u, 1 << w) for u, w in g.edges]
     size = 0
     v = cur
     while v:
         e = (v & -v).bit_length() - 1
-        u, w = g.edges[e]
-        prof.flip_entry(u, w)
-        prof.flip_entry(w, u)
+        a, b = ends[e]
+        flip(a, b)
+        flip(b, a)
         size += 1
         v &= v - 1
     counts[prof.rank][size] += 1
-    flip = prof.flip_entry
-    edges = g.edges
     for t in range(start + 1, stop):
         e = (t & -t).bit_length() - 1
         bit = 1 << e
         cur ^= bit
         size += 1 if cur & bit else -1
-        u, w = edges[e]
-        flip(u, w)
-        r = flip(w, u)
+        a, b = ends[e]
+        flip(a, b)
+        r = flip(b, a)
         counts[r][size] += 1
     return counts
 

@@ -3,7 +3,9 @@
 Rows are Python ints used as bitmasks (bit j = column j), so row operations
 are single XORs regardless of width.  ``F2Matrix`` is an immutable value;
 ``RankProfile`` is a single-owner mutable elimination state that keeps rank
-(and a left-nullspace basis) current under single-entry flips.
+(and a left-nullspace basis) current under single-entry flips and rank-1
+updates M + u v^T, and reads the rank change of such an update without
+applying it.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ class F2Matrix:
 
     def entry(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
-
-    def flipped(self, i: int, j: int) -> "F2Matrix":
-        rows = list(self.data)
-        rows[i] ^= 1 << j
-        return F2Matrix(self.rows, self.cols, tuple(rows))
 
 
 def zero_matrix(rows: int, cols: int) -> F2Matrix:
@@ -101,13 +98,18 @@ def incidence(g: Graph, subset: EdgeSubset | None = None) -> F2Matrix:
 
 
 class RankProfile:
-    """Maintained elimination state of a matrix under single-entry flips.
+    """Maintained elimination state of a matrix under entry flips and
+    rank-1 updates.
 
     Keeps an invertible row transform T with R = T*M where the nonzero rows
     of R have pairwise distinct pivots (lowest set bits), so rank = number of
-    nonzero R rows and {T[k] : R[k] = 0} is a left-nullspace basis.  A flip
-    of entry (i, j) perturbs exactly the R rows whose T row involves source
-    row i; only rows whose pivot is disturbed get re-eliminated.
+    nonzero R rows and {T[k] : R[k] = 0} is a left-nullspace basis.  A
+    rank-1 update M + u v^T (``flip``; u, v bitmasks over rows and columns)
+    XORs v into every R row whose T row meets u an odd number of times, in
+    one scan; only rows whose pivot is disturbed get re-eliminated.  An
+    entry flip (``flip_entry``) is the update with u = e_i, v = e_j.
+    ``delta_if_flip`` reads the rank change of an update from the current
+    T and R without touching any state.
 
     With ``paranoid=True`` every flip is cross-checked against a from-scratch
     elimination (debugging aid; tests use it on small matrices).
@@ -151,14 +153,55 @@ class RankProfile:
         """Flip entry (i, j) of the source matrix; returns the new rank."""
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError("entry out of range")
-        bit = 1 << j
-        self.rows[i] ^= bit
-        ibit = 1 << i
+        return self.flip(1 << i, 1 << j)
+
+    def delta_if_flip(self, rows: int, cols: int) -> int:
+        """Rank change of M + u v^T for u = ``rows``, v = ``cols``
+        (bitmasks over row and column indices); changes no state.
+
+        u is in the column space iff every left-null row T[k] meets it an
+        even number of times.  Reducing v against the pivots gives its
+        residue and y, the XOR of the T rows used, with y^T M = v^T when v
+        is in the row space.  The change is +1 when neither u nor v is in
+        its space, -1 when both are and y.u = 1, and 0 otherwise.
+        """
+        if rows >> self.nrows or cols >> self.ncols:  # also catches negatives
+            raise IndexError("update out of range")
+        R, T = self.R, self.T
+        owner = self.pivot_owner
+        w, y = cols, 0
+        while w:
+            o = owner.get((w & -w).bit_length() - 1)
+            if o is None:
+                break
+            w ^= R[o]
+            y ^= T[o]
+        if not w and not (y & rows).bit_count() & 1:
+            return 0
+        for k, p in enumerate(self.pivot_of):
+            if p < 0 and (T[k] & rows).bit_count() & 1:
+                return 1 if w else 0  # u is outside the column space
+        return 0 if w else -1
+
+    def flip(self, rows: int, cols: int) -> int:
+        """Apply M += u v^T for u = ``rows``, v = ``cols``; returns the new
+        rank.  One scan: R[k] ^= v wherever T[k] meets u oddly; each such
+        row that lost or moved its pivot gives the pivot up and is
+        re-eliminated."""
+        if rows >> self.nrows or cols >> self.ncols:  # also catches negatives
+            raise IndexError("update out of range")
+        src = self.rows
+        u = rows
+        while u:
+            src[(u & -u).bit_length() - 1] ^= cols
+            u &= u - 1
         R, T, pivot_of = self.R, self.T, self.pivot_of
+        one_row = not rows & (rows - 1)  # then T[k] meets u oddly iff at all
         requeue: list[int] = []
         for k in range(self.nrows):
-            if T[k] & ibit:
-                v = R[k] ^ bit
+            t = T[k] & rows
+            if t and (one_row or t.bit_count() & 1):
+                v = R[k] ^ cols
                 R[k] = v
                 p = pivot_of[k]
                 if v == 0:

@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 
 EdgeSubset = int
 
-FULL_SUBSET_OF = lambda m: (1 << m) - 1  # noqa: E731
-
 _GENERAL_MATCHING_LIMIT = 24
 
 

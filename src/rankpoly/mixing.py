@@ -196,14 +196,14 @@ def canonical_path(
 
 def _rank_per_subset(b: BipartiteGraph) -> list[int]:
     m = b.m
-    oriented = b.oriented_edges()
+    toggles = [(1 << ui, 1 << wi) for ui, wi in b.oriented_edges()]
     prof = RankProfile(zero_matrix(len(b.side_u), len(b.side_w)))
     ranks = [0] * (1 << m)
     cur = 0
     for t in range(1, 1 << m):
         e = (t & -t).bit_length() - 1
         cur ^= 1 << e
-        ranks[cur] = prof.flip_entry(*oriented[e])
+        ranks[cur] = prof.flip(*toggles[e])
     return ranks
 
 

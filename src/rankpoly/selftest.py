@@ -27,16 +27,28 @@ def _random_tree(rng: random.Random, n: int) -> graphs.Graph:
 
 
 def check_rank_flip_consistency() -> tuple[bool, str]:
+    """Entry flips and rank-1 updates keep the from-scratch rank, and the
+    read-only probe predicts the change of each, read by flip and undo."""
     rng = random.Random(12345)
-    mat = gf2.zero_matrix(6, 6)
-    prof = gf2.RankProfile(mat)
+    prof = gf2.RankProfile(gf2.zero_matrix(6, 6))
     for step in range(400):
         i, j = rng.randrange(6), rng.randrange(6)
+        rows, cols = (1 << i) | rng.randrange(64), (1 << j) | rng.randrange(64)
+        before = prof.rank
+        predicted = gf2.RankProfile.delta_if_flip(prof, rows, cols)
+        flipped = gf2.RankProfile.flip(prof, rows, cols)
+        fresh = gf2.rank_of_rows(list(prof.rows))
+        if flipped != fresh:
+            return False, f"update {step}: maintained {flipped} != scratch {fresh}"
+        if gf2.RankProfile.flip(prof, rows, cols) != before:
+            return False, f"update {step}: undo did not restore rank {before}"
+        if predicted != flipped - before:
+            return False, f"update {step}: probe {predicted} != change {flipped - before}"
         r = gf2.RankProfile.flip_entry(prof, i, j)
         fresh = gf2.rank_of_rows(list(prof.rows))
         if r != fresh:
             return False, f"flip {step}: maintained {r} != scratch {fresh}"
-    return True, "400 flips consistent"
+    return True, "400 flips and 800 rank-1 updates consistent, probe exact"
 
 
 def check_purity_rank_identity() -> tuple[bool, str]:

@@ -186,6 +186,29 @@ class TestRun:
         with pytest.raises(ValueError):
             run(path_graph(2), ChainParams(RC, F(1), F(1)), -1, seed=0)
 
+    @pytest.mark.parametrize("name", ["burnin", "thin"])
+    def test_negative_burnin_and_thin_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            run(path_graph(2), ChainParams(RC, F(1), F(1)), 10, seed=0, **{name: -3})
+
+    @pytest.mark.parametrize("family", [RWS, RC])
+    def test_rejected_steps_leave_the_profile_untouched(self, family, rng):
+        g = random_bipartite(rng, 4, 4, 0.7)
+        state = ChainState(g if family == RWS else g.graph, ChainParams(family, F(3), F(2, 7)))
+        gen = SplitMix64(3)
+        rejected = 0
+        for _ in range(500):
+            prof = state.profile
+            before = (list(prof.rows), list(prof.R), list(prof.T), list(prof.pivot_of),
+                      dict(prof.pivot_owner), prof.rank, state.subset)
+            accepts = state.accepts
+            state.step(gen)
+            if state.accepts == accepts:
+                rejected += 1
+                assert (prof.rows, prof.R, prof.T, prof.pivot_of, prof.pivot_owner,
+                        prof.rank, state.subset) == before
+        assert rejected > 100
+
     def test_step_helpers_enforce_family(self):
         b = bipartition_of(path_graph(2))
         state = ChainState(b, ChainParams(RWS, F(1), F(1)))

@@ -172,7 +172,31 @@ class TestSample:
             assert 0 <= int(line, 16) < 16
 
 
+    @pytest.mark.parametrize("flag", ["--thin", "--burnin"])
+    def test_negative_thin_or_burnin_is_one_line(self, capsys, c4, flag):
+        code, out, err = run_cli(
+            capsys, "sample", "rws", "--graph", c4, "--lambda", "1/2", "--mu", "1",
+            "--steps", "100", flag, "-3",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and f"{flag[2:]} must be nonnegative" in err
+
+
 class TestMix:
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "2", "1", "inf", "-inf"])
+    def test_eps_outside_the_unit_interval_is_one_line(self, capsys, monkeypatch, c4, eps):
+        from rankpoly import mixing
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the chain was built before eps was checked")
+
+        monkeypatch.setattr(mixing, "transition_matrix", no_chain)
+        code, out, err = run_cli(
+            capsys, "mix", "--graph", c4, "--family", "rc", "--q", "2", "--mu", "1", f"--eps={eps}",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "eps must lie strictly between 0 and 1" in err
+
     def test_exact_summary(self, capsys, tmp_path, c4):
         csv = tmp_path / "tv.csv"
         code, out, _ = run_cli(
@@ -310,6 +334,21 @@ class TestGraphIo:
             return self.rank + (1 if (i + j) % 5 == 0 else 0)
 
         monkeypatch.setattr(RankProfile, "flip_entry", corrupted)
+        code, out, _ = run_cli(capsys, "selftest", "--quick")
+        assert code == 1
+        report = json.loads(out.splitlines()[-1])
+        assert report["rank-flip-consistency"] is False
+
+    def test_selftest_detects_broken_probe(self, capsys, monkeypatch):
+        from rankpoly.gf2 import RankProfile
+
+        original = RankProfile.delta_if_flip
+
+        def corrupted(self, rows, cols):
+            d = original(self, rows, cols)
+            return 0 if d < 0 else d
+
+        monkeypatch.setattr(RankProfile, "delta_if_flip", corrupted)
         code, out, _ = run_cli(capsys, "selftest", "--quick")
         assert code == 1
         report = json.loads(out.splitlines()[-1])

@@ -13,6 +13,7 @@ from rankpoly.gf2 import (
     adjacency,
     bipartite_adjacency,
     identity_matrix,
+    incidence,
     left_nullspace,
     rank,
     rank_of_rows,
@@ -20,7 +21,7 @@ from rankpoly.gf2 import (
     vector_matrix_product,
     zero_matrix,
 )
-from rankpoly.graphs import bipartition_of, complete_graph, path_graph
+from rankpoly.graphs import Graph, bipartition_of, complete_graph, path_graph
 from rankpoly.rng import SplitMix64
 from conftest import random_bipartite, random_connected_w2, random_graph
 
@@ -153,6 +154,84 @@ class TestFlipEntry:
             # same span: appending either set to the other adds no rank
             assert rank_of_rows(list(prof.rows) + reduced) == prof.rank
             assert rank_of_rows(reduced) == prof.rank
+
+
+@st.composite
+def rank_one_cases(draw):
+    """(M, u, v): a random matrix up to 8 x 8 or the incidence matrix of a
+    random graph on a random edge subset, with nonzero bitmasks u, v."""
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 8))
+        cols = draw(st.integers(1, 8))
+        mat = F2Matrix(rows, cols, tuple(draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)))
+    else:
+        n = draw(st.integers(2, 7))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        g = Graph(n, tuple(edges))
+        mat = incidence(g, draw(st.integers(0, (1 << g.m) - 1)))
+    u = draw(st.integers(1, (1 << mat.rows) - 1))
+    v = draw(st.integers(1, (1 << mat.cols) - 1))
+    return mat, u, v
+
+
+def plus_outer(mat: F2Matrix, u: int, v: int) -> F2Matrix:
+    """M + u v^T, entry by entry."""
+    return F2Matrix(mat.rows, mat.cols, tuple(r ^ (v if u >> i & 1 else 0) for i, r in enumerate(mat.data)))
+
+
+def profile_state(prof: RankProfile):
+    return (list(prof.rows), list(prof.R), list(prof.T), list(prof.pivot_of),
+            dict(prof.pivot_owner), prof.rank)
+
+
+class TestRankOneUpdate:
+    @given(rank_one_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_probe_matches_scratch_rank_and_changes_nothing(self, case):
+        mat, u, v = case
+        prof = RankProfile(mat)
+        before = profile_state(prof)
+        assert prof.delta_if_flip(u, v) == rank(plus_outer(mat, u, v)) - rank(mat)
+        assert profile_state(prof) == before
+
+    @given(rank_one_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_flip_matches_entry_flips(self, case):
+        mat, u, v = case
+        prof, by_entries = RankProfile(mat), RankProfile(mat)
+        r = prof.flip(u, v)
+        for i in range(mat.rows):
+            for j in range(mat.cols):
+                if u >> i & 1 and v >> j & 1:
+                    by_entries.flip_entry(i, j)
+        assert prof.matrix() == by_entries.matrix() == plus_outer(mat, u, v)
+        assert r == prof.rank == rank(prof.matrix())
+        assert len(prof.left_nullspace_basis()) == mat.rows - r
+
+    def test_probe_predicts_every_update_of_a_long_sequence(self, rng):
+        prof = RankProfile(zero_matrix(7, 8))
+        for _ in range(1000):
+            u, v = rng.randrange(1, 1 << 7), rng.randrange(1, 1 << 8)
+            before = prof.rank
+            d = prof.delta_if_flip(u, v)
+            assert prof.flip(u, v) == before + d == rank_of_rows(list(prof.rows))
+
+    def test_out_of_range(self):
+        prof = RankProfile(zero_matrix(2, 3))
+        for u, v in ((0b100, 1), (1, 0b1000), (-1, 1), (1, -2)):
+            with pytest.raises(IndexError):
+                prof.flip(u, v)
+            with pytest.raises(IndexError):
+                prof.delta_if_flip(u, v)
+
+    def test_paranoid_mode_checks_flip(self, rng):
+        prof = RankProfile(zero_matrix(4, 4), paranoid=True)
+        for _ in range(50):
+            prof.flip(rng.randrange(1, 16), rng.randrange(1, 16))
+        prof.rank += 1  # corrupt the maintained rank
+        with pytest.raises(AssertionError, match="from-scratch"):
+            prof.flip(1, 1)
 
 
 class TestLeftNullspace:
