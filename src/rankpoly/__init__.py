@@ -46,7 +46,7 @@ from .exact import (
     random_cluster,
     tutte,
 )
-from .chains import RC, RWS, ChainParams, ChainState, bis_sample_bridge, run, step_rc, step_rws
+from .chains import RC, RWS, ChainParams, ChainState, bis_sample_bridge, run
 from .reductions import (
     ModP,
     ReductionCert,
@@ -73,7 +73,6 @@ _MIXING_NAMES = frozenset(
         "dfs_tree_ordering",
         "linear_width_of_ordering",
         "optimal_linear_width",
-        "transition_matrix",
         "treedec_ordering",
     }
 )

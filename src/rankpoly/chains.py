@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gf2 import RankProfile, bipartite_adjacency, incidence, rank, sample_left_nullspace
+from .gf2 import (
+    RankProfile,
+    bipartite_adjacency,
+    bipartite_adjacency_toggles,
+    incidence,
+    incidence_toggles,
+    rank,
+    sample_left_nullspace,
+)
 from .graphs import BipartiteGraph, EdgeSubset, Graph, components
 from .rng import SplitMix64
 
@@ -81,13 +89,14 @@ class ChainState:
                 raise ValueError("the rank-weighted chain needs a bipartite graph")
             self.bip = g
             self.graph = g.graph
-            self.toggles = [(1 << ui, 1 << wi) for ui, wi in g.oriented_edges()]
+            toggles = bipartite_adjacency_toggles(g)
             matrix = bipartite_adjacency(g, subset)
         else:
             self.graph = g.graph if isinstance(g, BipartiteGraph) else g
             self.bip = None
-            self.toggles = [((1 << u) | (1 << v), 1 << e) for e, (u, v) in enumerate(self.graph.edges)]
+            toggles = incidence_toggles(self.graph)
             matrix = incidence(self.graph, subset)
+        self.toggles = [update for (update,) in toggles]
         self.m = self.graph.m
         if self.m == 0:
             raise ValueError("chain needs at least one edge")
@@ -126,20 +135,6 @@ class ChainState:
             self.subset ^= bit
             self.accepts += 1
         self.steps += 1
-
-
-def step_rws(state: ChainState, rng: SplitMix64) -> ChainState:
-    if state.params.family != RWS:
-        raise ValueError("state is not a rank-weighted chain")
-    state.step(rng)
-    return state
-
-
-def step_rc(state: ChainState, rng: SplitMix64) -> ChainState:
-    if state.params.family != RC:
-        raise ValueError("state is not a random-cluster chain")
-    state.step(rng)
-    return state
 
 
 @dataclass

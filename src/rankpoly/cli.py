@@ -10,6 +10,7 @@ seed give byte-identical output; --threads only partitions work.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from fractions import Fraction
@@ -28,7 +29,12 @@ def _fraction(text: str) -> Fraction:
 
 def _print_value(value: Fraction) -> None:
     print(graphio.format_fraction(value))
-    print(f"~ {float(value):.12g}")
+    try:
+        approx = f"{float(value):.12g}"
+    except OverflowError:  # past the float range: round to 12 digits in decimal
+        ctx = decimal.Context(prec=12, Emax=decimal.MAX_EMAX)
+        approx = f"{ctx.normalize(ctx.divide(value.numerator, value.denominator)):.12g}"
+    print(f"~ {approx}")
 
 
 def _add_graph_arg(p: argparse.ArgumentParser) -> None:
@@ -251,7 +257,7 @@ def _cmd_mix(args) -> int:
     params = ChainParams(args.family, weight, args.mu)
     target = graphio.require_bipartite(g, bip) if args.family == RWS else g
     ordering = _resolve_ordering(g, args.ordering)
-    chain = mixing.transition_matrix(target, params)
+    chain = mixing.ExactChain(target, params)
 
     rows: list[tuple[int, list[float]]] = []
     csv_starts = sorted({0, chain.n_states - 1, min(range(chain.n_states), key=lambda s: chain.weights[s])})

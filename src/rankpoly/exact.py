@@ -11,11 +11,14 @@ components (the matrix is block-diagonal), so the rank tables are
 convolutions of one table per component: a tree component takes a leaf-up
 matching DP (on a forest the GF(2) rank of S is its maximum matching, twice
 that for the symmetric adjacency), and any other component walks its 2^m_C
-subsets along a Gray code, so that consecutive subsets differ in one edge
-and the maintained elimination state absorbs each step as a single-entry
-flip.  A bridge lowers the component count by one whenever it is present,
-so the component table is the convolution of the walked tables of G minus
-its bridges, shifted binomially over the bridges; a forest walks nothing.
+subsets along a Gray code (``gf2.gray_ranks``), so that consecutive subsets
+differ in one edge and the maintained elimination state absorbs each step
+as one or two rank-1 updates.  The component count is a rank too:
+kappa(S) = n - rank of the vertex-by-edge incidence of S.  A bridge lowers
+the component count by one whenever it is present, so the component table
+is the convolution of the incidence-rank walks of the components of G
+minus its bridges, shifted binomially over the bridges; a forest walks
+nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .gf2 import RankProfile, zero_matrix
+from .gf2 import (
+    Toggles,
+    adjacency_toggles,
+    bipartite_adjacency_toggles,
+    gray_ranks,
+    incidence_toggles,
+)
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -209,12 +218,35 @@ def _tree_matching_table(t: Graph) -> Table:
     return _add(free[0], matched[0])
 
 
-def _walked(obj, workers: int, bipartite: bool) -> Table:
-    """The Gray-code table of one component, in processes if ``workers > 1``."""
-    if workers > 1:
-        return _table_to_terms(_parallel_table(obj, workers, bipartite))
-    chunk = _bipartite_table_chunk if bipartite else _graph_table_chunk
-    return _table_to_terms(chunk(obj, 0, 1 << obj.m))
+def _table_chunk(job: tuple) -> list[list[int]]:
+    """counts[r][s] over the subsets at Gray positions [start, stop)."""
+    nrows, ncols, toggles, start, stop = job
+    counts = [[0] * (len(toggles) + 1) for _ in range(min(nrows, ncols) + 1)]
+    for subset, r in gray_ranks(nrows, ncols, toggles, start, stop):
+        counts[r][subset.bit_count()] += 1
+    return counts
+
+
+def _chunk_bounds(total: int, workers: int, cpus: int | None) -> list[tuple[int, int]]:
+    """Split range(total) into contiguous non-empty [start, stop) chunks, one
+    per process: at most ``workers``, the CPU count (one if unknown) and
+    ``total``."""
+    count = max(1, min(workers, cpus or 1, total))
+    bounds = [total * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _walked(nrows: int, ncols: int, toggles: Toggles, workers: int = 1) -> Table:
+    """The {(rank, size): count} table of one component by the Gray-code
+    rank walk, split over processes if ``workers > 1``."""
+    if workers == 1:
+        return _table_to_terms(_table_chunk((nrows, ncols, toggles, 0, 1 << len(toggles))))
+    import multiprocessing as mp
+
+    chunks = _chunk_bounds(1 << len(toggles), workers, os.cpu_count())
+    with mp.Pool(len(chunks)) as pool:
+        parts = pool.map(_table_chunk, [(nrows, ncols, toggles, a, b) for a, b in chunks])
+    return _add(*map(_table_to_terms, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -235,34 +267,9 @@ def bipartite_rank_size_counts(
         else:
             u = tuple(i for i, v in enumerate(verts) if v in side_u)
             w = tuple(i for i, v in enumerate(verts) if v not in side_u)
-            parts.append(_walked(BipartiteGraph(sub, u, w), workers, bipartite=True))
+            toggles = bipartite_adjacency_toggles(BipartiteGraph(sub, u, w))
+            parts.append(_walked(len(u), len(w), toggles, workers))
     return _to_counts(parts, min(len(b.side_u), len(b.side_w)) + 1, b.m)
-
-
-def _bipartite_table_chunk(b: BipartiteGraph, start: int, stop: int) -> list[list[int]]:
-    m = b.m
-    nu, nw = len(b.side_u), len(b.side_w)
-    toggles = [(1 << ui, 1 << wi) for ui, wi in b.oriented_edges()]
-    counts = [[0] * (m + 1) for _ in range(min(nu, nw) + 1)]
-    cur = start ^ (start >> 1)
-    prof = RankProfile(zero_matrix(nu, nw))
-    flip = prof.flip
-    size = 0
-    v = cur
-    while v:
-        e = (v & -v).bit_length() - 1
-        flip(*toggles[e])
-        size += 1
-        v &= v - 1
-    counts[prof.rank][size] += 1
-    for t in range(start + 1, stop):
-        e = (t & -t).bit_length() - 1
-        bit = 1 << e
-        cur ^= bit
-        size += 1 if cur & bit else -1
-        r = flip(*toggles[e])
-        counts[r][size] += 1
-    return counts
 
 
 def graph_rank_size_counts(
@@ -276,68 +283,8 @@ def graph_rank_size_counts(
         if sub.m == sub.n - 1:
             parts.append({(2 * nu, s): c for (nu, s), c in _tree_matching_table(sub).items()})
         else:
-            parts.append(_walked(sub, workers, bipartite=False))
+            parts.append(_walked(sub.n, sub.n, adjacency_toggles(sub), workers))
     return _to_counts(parts, g.n + 1, g.m)
-
-
-def _graph_table_chunk(g: Graph, start: int, stop: int) -> list[list[int]]:
-    m, n = g.m, g.n
-    counts = [[0] * (m + 1) for _ in range(n + 1)]
-    cur = start ^ (start >> 1)
-    prof = RankProfile(zero_matrix(n, n))
-    flip = prof.flip
-    ends = [(1 << u, 1 << w) for u, w in g.edges]
-    size = 0
-    v = cur
-    while v:
-        e = (v & -v).bit_length() - 1
-        a, b = ends[e]
-        flip(a, b)
-        flip(b, a)
-        size += 1
-        v &= v - 1
-    counts[prof.rank][size] += 1
-    for t in range(start + 1, stop):
-        e = (t & -t).bit_length() - 1
-        bit = 1 << e
-        cur ^= bit
-        size += 1 if cur & bit else -1
-        a, b = ends[e]
-        flip(a, b)
-        r = flip(b, a)
-        counts[r][size] += 1
-    return counts
-
-
-def _table_worker(args):
-    obj, start, stop, bipartite = args
-    if bipartite:
-        return _bipartite_table_chunk(obj, start, stop)
-    return _graph_table_chunk(obj, start, stop)
-
-
-def _chunk_bounds(total: int, workers: int, cpus: int | None) -> list[tuple[int, int]]:
-    """Split range(total) into contiguous non-empty [start, stop) chunks, one
-    per process: at most ``workers``, the CPU count (one if unknown) and
-    ``total``."""
-    count = max(1, min(workers, cpus or 1, total))
-    bounds = [total * i // count for i in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _parallel_table(obj, workers: int, bipartite: bool) -> list[list[int]]:
-    import multiprocessing as mp
-
-    chunks = _chunk_bounds(1 << obj.m, workers, os.cpu_count())
-    jobs = [(obj, start, stop, bipartite) for start, stop in chunks]
-    with mp.Pool(len(jobs)) as pool:
-        parts = pool.map(_table_worker, jobs)
-    out = parts[0]
-    for part in parts[1:]:
-        for r in range(len(out)):
-            for s in range(len(out[0])):
-                out[r][s] += part[r][s]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,52 +326,23 @@ def r2(
 def component_size_counts(g: Graph, max_edges: int | None = None) -> list[list[int]]:
     """counts[kappa][s] = number of subsets of size s with kappa components.
 
-    With B the bridges, kappa(S) = kappa_{G-B}(S - B) - |S & B|: the
-    components of G - B with an edge walk their subsets, every other vertex
-    adds one component, and choosing j of the bridges (C(|B|, j) ways)
-    lowers kappa by j and raises |S| by j."""
+    With B the bridges, kappa(S) = kappa_{G-B}(S - B) - |S & B|: each
+    component C of G - B with an edge walks the incidence rank r of its
+    subsets, kappa_C = n_C - r, every other vertex adds one component, and
+    choosing j of the bridges (C(|B|, j) ways) lowers kappa by j and raises
+    |S| by j."""
     _check_limit(g.m, max_edges)
     bridges = _bridges(g)
     isolated = g.n
     parts = []
     for verts, sub in _edge_components(g, g.full_subset() & ~bridges):
-        parts.append(_table_to_terms(_component_table_walk(sub)))
+        ranks = _walked(sub.n, sub.m, incidence_toggles(sub))
+        parts.append({(sub.n - r, s): c for (r, s), c in ranks.items()})
         isolated -= len(verts)
     parts.append({(isolated, 0): 1})
     nb = bin(bridges).count("1")
     parts.append({(-j, j): comb(nb, j) for j in range(nb + 1)})
     return _to_counts(parts, g.n + 1, g.m)
-
-
-def _component_table_walk(g: Graph) -> list[list[int]]:
-    """counts[kappa][s] by a union-find pass over every subset."""
-    m, n = g.m, g.n
-    counts = [[0] * (m + 1) for _ in range(n + 1)]
-    edges = g.edges
-    parent = list(range(n))
-    for s in range(1 << m):
-        for i in range(n):
-            parent[i] = i
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        size = 0
-        kappa = n
-        rem = s
-        while rem:
-            e = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            size += 1
-            ru, rv = find(edges[e][0]), find(edges[e][1])
-            if ru != rv:
-                parent[ru] = rv
-                kappa -= 1
-        counts[kappa][size] += 1
-    return counts
 
 
 def random_cluster(

@@ -5,12 +5,15 @@ are single XORs regardless of width.  ``F2Matrix`` is an immutable value;
 ``RankProfile`` is a single-owner mutable elimination state that keeps rank
 (and a left-nullspace basis) current under single-entry flips and rank-1
 updates M + u v^T, and reads the rank change of such an update without
-applying it.
+applying it.  ``gray_ranks`` walks every edge subset of a graph along a
+Gray code, one maintained profile for all of them, for any of the three
+per-edge encodings (bipartite adjacency, symmetric adjacency, incidence).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import BipartiteGraph, EdgeSubset, Graph
 
@@ -95,6 +98,26 @@ def incidence(g: Graph, subset: EdgeSubset | None = None) -> F2Matrix:
             rows[u] |= 1 << i
             rows[v] |= 1 << i
     return F2Matrix(g.n, g.m, tuple(rows))
+
+
+# Per-edge encodings: toggles[e] is the tuple of (rows, cols) rank-1 updates
+# M + u v^T that toggle edge e in the matrix of the same name above.
+Toggles = list[tuple[tuple[int, int], ...]]
+
+
+def bipartite_adjacency_toggles(b: BipartiteGraph) -> Toggles:
+    """Entry (u, w) of the bipartite adjacency: one update per edge."""
+    return [((1 << ui, 1 << wi),) for ui, wi in b.oriented_edges()]
+
+
+def adjacency_toggles(g: Graph) -> Toggles:
+    """Entries (u, v) and (v, u) of the symmetric adjacency: two updates."""
+    return [((1 << u, 1 << v), (1 << v, 1 << u)) for u, v in g.edges]
+
+
+def incidence_toggles(g: Graph) -> Toggles:
+    """Column e of the incidence, e_u + e_v: one update per edge."""
+    return [(((1 << u) | (1 << v), 1 << e),) for e, (u, v) in enumerate(g.edges)]
 
 
 class RankProfile:
@@ -231,6 +254,40 @@ class RankProfile:
     def left_nullspace_basis(self) -> list[int]:
         """Bitmask basis (over row indices) of {x : x^T M = 0}."""
         return [self.T[k] for k in range(self.nrows) if self.R[k] == 0]
+
+
+def gray_ranks(
+    nrows: int,
+    ncols: int,
+    toggles: Toggles,
+    start: int = 0,
+    stop: int | None = None,
+) -> Iterator[tuple[EdgeSubset, int]]:
+    """Yield (subset, rank) at Gray-code positions start..stop-1 over the
+    len(toggles) edges, from the zero nrows x ncols matrix.
+
+    Position t is the subset t ^ (t >> 1), so consecutive subsets differ in
+    edge e = the lowest set bit of t, and each step applies the updates of
+    ``toggles[e]`` to one maintained ``RankProfile``.  Chunks [a, b) and
+    [b, c) together yield exactly the walk [a, c)."""
+    stop = 1 << len(toggles) if stop is None else stop
+    if start >= stop:
+        return
+    prof = RankProfile(zero_matrix(nrows, ncols))
+    flip = prof.flip
+    cur = start ^ (start >> 1)
+    rest = cur
+    while rest:
+        for rows, cols in toggles[(rest & -rest).bit_length() - 1]:
+            flip(rows, cols)
+        rest &= rest - 1
+    yield cur, prof.rank
+    for t in range(start + 1, stop):
+        e = (t & -t).bit_length() - 1
+        cur ^= 1 << e
+        for rows, cols in toggles[e]:
+            r = flip(rows, cols)
+        yield cur, r
 
 
 def left_nullspace(m: F2Matrix) -> list[int]:

@@ -7,7 +7,11 @@ Two input formats:
   ids directly (n = max id + 1); otherwise tokens are named vertices,
   auto-numbered in order of first appearance.
 * structured JSON — ``{"n": int, "edges": [[u, v], ...]}`` with optional
-  ``"U"`` / ``"W"`` arrays that must partition 0..n-1.
+  ``"U"`` / ``"W"`` arrays that must partition 0..n-1.  Counts and ids are
+  JSON integers only (no floats, strings or booleans).
+
+Either format allows at most ``MAX_VERTICES`` vertices, checked before the
+graph is built; any malformed file raises ``GraphFormatError``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,28 @@ from pathlib import Path
 from .graphs import BipartiteGraph, Graph, TreeDecomposition, bipartition_of
 
 
+MAX_VERTICES = 1 << 20
+
+
 class GraphFormatError(ValueError):
     pass
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass; JSON true is no id
+        raise GraphFormatError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_ids(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise GraphFormatError(f"{what} must be a list of vertex ids")
+    return tuple(_json_int(v, f"{what} entry") for v in value)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -53,6 +77,7 @@ def parse_edge_list(text: str) -> Graph:
         if any(u < 0 or v < 0 for u, v in pairs):
             raise GraphFormatError("negative vertex ids are not allowed")
         n = max(max(u, v) for u, v in pairs) + 1
+        _check_vertex_count(n)
         return Graph(n, tuple(pairs))
     names: dict[str, int] = {}
     pairs = []
@@ -68,17 +93,29 @@ def parse_edge_list(text: str) -> Graph:
 def parse_structured(text: str) -> tuple[Graph, BipartiteGraph | None]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also overlong integers, deep nesting
         raise GraphFormatError(f"invalid JSON graph document: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphFormatError("structured graph needs 'n' and 'edges' fields")
-    g = Graph(int(doc["n"]), tuple((int(u), int(v)) for u, v in doc["edges"]))
+    n = _json_int(doc["n"], "'n'")
+    _check_vertex_count(n)
+    if not isinstance(doc["edges"], list):
+        raise GraphFormatError("'edges' must be a list of [u, v] pairs")
+    edges = []
+    for edge in doc["edges"]:
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise GraphFormatError(f"an edge must be a [u, v] pair, got {json.dumps(edge)}")
+        edges.append((_json_int(edge[0], "edge endpoint"), _json_int(edge[1], "edge endpoint")))
+    sides = None
     if "U" in doc or "W" in doc:
         if not ("U" in doc and "W" in doc):
             raise GraphFormatError("give both 'U' and 'W' or neither")
-        bip = BipartiteGraph(g, tuple(map(int, doc["U"])), tuple(map(int, doc["W"])))
-        return g, bip
-    return g, None
+        sides = (_json_ids(doc["U"], "'U'"), _json_ids(doc["W"], "'W'"))
+    try:
+        g = Graph(n, tuple(edges))
+        return g, None if sides is None else BipartiteGraph(g, *sides)
+    except ValueError as exc:  # negative n, self-loops, bad ids or sides
+        raise GraphFormatError(str(exc)) from None
 
 
 def load_graph(path: str | Path, fmt: str = "auto") -> tuple[Graph, BipartiteGraph | None]:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .chains import RC, RWS, ChainParams
-from .gf2 import RankProfile, zero_matrix
+from .gf2 import bipartite_adjacency_toggles, gray_ranks, incidence_toggles
 from .graphs import (
     BipartiteGraph,
     EdgeSubset,
@@ -194,27 +194,6 @@ def canonical_path(
 # Exact chains on the full state space
 
 
-def _rank_per_subset(b: BipartiteGraph) -> list[int]:
-    m = b.m
-    toggles = [(1 << ui, 1 << wi) for ui, wi in b.oriented_edges()]
-    prof = RankProfile(zero_matrix(len(b.side_u), len(b.side_w)))
-    ranks = [0] * (1 << m)
-    cur = 0
-    for t in range(1, 1 << m):
-        e = (t & -t).bit_length() - 1
-        cur ^= 1 << e
-        ranks[cur] = prof.flip(*toggles[e])
-    return ranks
-
-
-def _kappa_per_subset(g: Graph) -> list[int]:
-    out = [0] * (1 << g.m)
-    for s in range(1 << g.m):
-        kappa, _ = components(g, s)
-        out[s] = kappa
-    return out
-
-
 class ExactChain:
     """All 2^m states of a single-bond-flip chain with exact stationary
     weights; the transition operator is applied sparsely, never densified
@@ -246,11 +225,14 @@ class ExactChain:
         self.n_states = 1 << graph.m
         if params.family == RWS:
             bip = g if isinstance(g, BipartiteGraph) else bipartition_of(g)
-            stat = _rank_per_subset(bip)
             top = min(len(bip.side_u), len(bip.side_w))
+            walk = gray_ranks(len(bip.side_u), len(bip.side_w), bipartite_adjacency_toggles(bip))
         else:
-            stat = _kappa_per_subset(graph)
             top = graph.n
+            walk = gray_ranks(graph.n, graph.m, incidence_toggles(graph))
+        stat = [0] * self.n_states
+        for s, r in walk:  # rws keeps the rank, rc kappa = n - incidence rank
+            stat[s] = r if params.family == RWS else top - r
         self.statistic = stat
         a, b = params.lam.numerator, params.lam.denominator
         c, d = params.mu.numerator, params.mu.denominator
@@ -451,12 +433,6 @@ class ExactChain:
                 raise RuntimeError(f"no mixing within {tmax} steps")
             dists = dists @ p
             t += 1
-
-
-def transition_matrix(
-    g: Graph | BipartiteGraph, params: ChainParams, max_edges: int = CHAIN_STATE_LIMIT
-) -> ExactChain:
-    return ExactChain(g, params, max_edges)
 
 
 def empirical_tv(

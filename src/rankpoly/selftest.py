@@ -134,7 +134,8 @@ def check_matching_rank() -> tuple[bool, str]:
 
 def check_structure_routes() -> tuple[bool, str]:
     """The tables routed by structure (component factors, the tree matching
-    DP, the bridge shift) against the plain walk over every subset."""
+    DP, the bridge shift, the Gray-code rank walk) against a from-scratch
+    rank and component count of every subset."""
     rng = random.Random(13)
     for trial in range(40):
         t = _random_tree(rng, rng.randint(2, 9))
@@ -149,18 +150,20 @@ def check_structure_routes() -> tuple[bool, str]:
         # drop an edge to split the tree, and add isolated vertices
         edges = [e for i, e in enumerate(t.edges) if i != trial % t.m] + extra
         g = graphs.Graph(t.n + trial % 2, tuple(edges))
-        full = 1 << g.m
         b = graphs.bipartition_of(g)
-        if exact.bipartite_rank_size_counts(b) != exact._bipartite_table_chunk(b, 0, full):
-            return False, f"bipartite rank table, trial {trial}"
-        if exact.graph_rank_size_counts(g) != exact._graph_table_chunk(g, 0, full):
-            return False, f"adjacency rank table, trial {trial}"
-        walk = [[0] * (g.m + 1) for _ in range(g.n + 1)]
-        for s in range(full):
-            walk[graphs.components(g, s)[0]][bin(s).count("1")] += 1
-        if exact.component_size_counts(g) != walk:
-            return False, f"component table, trial {trial}"
-    return True, "routed tables equal the subset walk on forests and bridged graphs"
+        for name, routed, statistic in (
+            ("bipartite rank", exact.bipartite_rank_size_counts(b),
+             lambda s: gf2.rank(gf2.bipartite_adjacency(b, s))),
+            ("adjacency rank", exact.graph_rank_size_counts(g),
+             lambda s: gf2.rank(gf2.adjacency(g, s))),
+            ("component", exact.component_size_counts(g), lambda s: graphs.components(g, s)[0]),
+        ):
+            scratch = [[0] * (g.m + 1) for _ in routed]
+            for s in range(1 << g.m):
+                scratch[statistic(s)][bin(s).count("1")] += 1
+            if routed != scratch:
+                return False, f"{name} table, trial {trial}"
+    return True, "routed tables equal per-subset scratch counts on forests and bridged graphs"
 
 
 def check_detailed_balance() -> tuple[bool, str]:

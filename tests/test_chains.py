@@ -13,8 +13,6 @@ from rankpoly.chains import (
     ChainState,
     bis_sample_bridge,
     run,
-    step_rc,
-    step_rws,
 )
 from rankpoly.gf2 import bipartite_adjacency, left_nullspace, rank
 from rankpoly.graphs import (
@@ -208,14 +206,6 @@ class TestRun:
                 assert (prof.rows, prof.R, prof.T, prof.pivot_of, prof.pivot_owner,
                         prof.rank, state.subset) == before
         assert rejected > 100
-
-    def test_step_helpers_enforce_family(self):
-        b = bipartition_of(path_graph(2))
-        state = ChainState(b, ChainParams(RWS, F(1), F(1)))
-        gen = SplitMix64(0)
-        step_rws(state, gen)
-        with pytest.raises(ValueError):
-            step_rc(state, gen)
 
 
 class TestRcEmpiricalDistribution:

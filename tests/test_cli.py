@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from rankpoly.cli import main
 from rankpoly.graphio import (
+    MAX_VERTICES,
+    GraphFormatError,
     format_fraction,
     load_graph,
     parse_edge_list,
     parse_fraction,
+    parse_structured,
 )
 
 
@@ -72,6 +76,11 @@ class TestEval:
     def test_missing_params_is_domain_error(self, capsys, k2):
         code, _, err = run_cli(capsys, "eval", "r2p", "--graph", k2)
         assert code == 1 and "r2p needs" in err
+
+    def test_value_past_the_float_range(self, capsys, k2):
+        code, out, err = run_cli(capsys, "eval", "r2p", "--graph", k2, "--lambda", "1e400", "--mu", "1")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [str(10**400 + 1), "~ 1e+400"]
 
     def test_threads_do_not_change_output(self, capsys, c4):
         base = ("eval", "r2p", "--graph", c4, "--lambda", "1/2", "--mu", "1")
@@ -190,7 +199,7 @@ class TestMix:
         def no_chain(*args, **kwargs):
             raise AssertionError("the chain was built before eps was checked")
 
-        monkeypatch.setattr(mixing, "transition_matrix", no_chain)
+        monkeypatch.setattr(mixing, "ExactChain", no_chain)
         code, out, err = run_cli(
             capsys, "mix", "--graph", c4, "--family", "rc", "--q", "2", "--mu", "1", f"--eps={eps}",
         )
@@ -285,6 +294,51 @@ class TestErrors:
         assert code == 1 and "bipartite" in err
 
 
+MALFORMED_GRAPHS = [
+    {"n": 2, "edges": [[0.5, 1]]},
+    {"n": 2, "edges": [[0, 1.0]]},
+    {"n": "x", "edges": []},
+    {"n": 2.0, "edges": [[0, 1]]},
+    {"n": True, "edges": []},
+    {"n": 2, "edges": [[1]]},
+    {"n": 2, "edges": [[0, 1, 1]]},
+    {"n": 2, "edges": {"0": 1}},
+    {"n": 2, "edges": [[False, True]]},
+    {"n": 2, "edges": [[0, 1]], "U": [0.0], "W": [1]},
+    {"n": 2, "edges": [[0, 1]], "U": 0, "W": [1]},
+    {"n": 2, "edges": [[0, 1]], "U": [0]},
+    {"n": 2, "edges": [[0, 2]]},
+    {"n": MAX_VERTICES + 1, "edges": [[0, 1]]},
+]
+
+
+class TestStrictGraphFiles:
+    @pytest.mark.parametrize("doc", MALFORMED_GRAPHS, ids=json.dumps)
+    def test_malformed_document_is_one_format_error_line(self, capsys, tmp_path, doc):
+        with pytest.raises(GraphFormatError):
+            parse_structured(json.dumps(doc))
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "eval", "r2p", "--graph", str(f), "--lambda", "1/2", "--mu", "1")
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_vertex_count_is_refused_before_building(self, capsys, tmp_path):
+        f = tmp_path / "g.json"
+        f.write_text('{"n": 100000000, "edges": [[0, 1]]}')
+        began = time.perf_counter()
+        code, _, err = run_cli(capsys, "eval", "r2p", "--graph", str(f), "--lambda", "1/2", "--mu", "1")
+        assert code == 1 and "exceeds the limit" in err
+        assert time.perf_counter() - began < 1.0
+
+    def test_huge_edge_list_id_is_refused(self):
+        with pytest.raises(GraphFormatError, match="exceeds the limit"):
+            parse_edge_list(f"0 {10**20}\n")
+
+    def test_vertex_limit_is_inclusive(self):
+        g, _ = parse_structured(json.dumps({"n": MAX_VERTICES, "edges": []}))
+        assert g.n == MAX_VERTICES
+
+
 class TestGraphIo:
     def test_edge_list_with_names(self):
         g = parse_edge_list("a b\nb c # comment\n\n")
@@ -353,6 +407,21 @@ class TestGraphIo:
         assert code == 1
         report = json.loads(out.splitlines()[-1])
         assert report["rank-flip-consistency"] is False
+
+    def test_selftest_detects_broken_rank_walk(self, capsys, monkeypatch):
+        from rankpoly import exact
+
+        original = exact.gray_ranks
+
+        def corrupted(*args):
+            for subset, r in original(*args):
+                yield subset, r - (subset == 1)
+
+        monkeypatch.setattr(exact, "gray_ranks", corrupted)
+        code, out, _ = run_cli(capsys, "selftest", "--quick")
+        assert code == 1
+        report = json.loads(out.splitlines()[-1])
+        assert report["structure-routes"] is False
 
     def test_selftest_detects_broken_tree_table(self, capsys, monkeypatch):
         from rankpoly import exact

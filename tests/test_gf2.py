@@ -11,9 +11,13 @@ from rankpoly.gf2 import (
     F2Matrix,
     RankProfile,
     adjacency,
+    adjacency_toggles,
     bipartite_adjacency,
+    bipartite_adjacency_toggles,
+    gray_ranks,
     identity_matrix,
     incidence,
+    incidence_toggles,
     left_nullspace,
     rank,
     rank_of_rows,
@@ -232,6 +236,65 @@ class TestRankOneUpdate:
         prof.rank += 1  # corrupt the maintained rank
         with pytest.raises(AssertionError, match="from-scratch"):
             prof.flip(1, 1)
+
+
+@st.composite
+def walk_cases(draw):
+    """(nrows, ncols, toggles) with at most 10 edges: one random update per
+    edge, two per edge, or the incidence toggles of a random graph."""
+    kind = draw(st.sampled_from(["single", "paired", "incidence"]))
+    if kind == "incidence":
+        n = draw(st.integers(1, 6))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=10, unique=True)) if pairs else []
+        g = Graph(n, tuple(edges))
+        return n, g.m, incidence_toggles(g)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    update = st.tuples(st.integers(1, (1 << nrows) - 1), st.integers(1, (1 << ncols) - 1))
+    per_edge = 1 if kind == "single" else 2
+    toggles = draw(st.lists(st.tuples(*[update] * per_edge), max_size=10))
+    return nrows, ncols, toggles
+
+
+def scratch_rank(nrows: int, toggles, subset: int) -> int:
+    rows = [0] * nrows
+    for e, updates in enumerate(toggles):
+        if subset >> e & 1:
+            for u, v in updates:
+                for i in range(nrows):
+                    if u >> i & 1:
+                        rows[i] ^= v
+    return rank_of_rows(rows)
+
+
+class TestGrayRanks:
+    @given(walk_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_walk_visits_every_subset_once_at_its_rank(self, case, data):
+        nrows, ncols, toggles = case
+        walk = list(gray_ranks(nrows, ncols, toggles))
+        subsets = [s for s, _ in walk]
+        assert sorted(subsets) == list(range(1 << len(toggles)))
+        assert subsets == [t ^ (t >> 1) for t in range(1 << len(toggles))]
+        for s, r in walk:
+            assert r == scratch_rank(nrows, toggles, s)
+        cuts = sorted(data.draw(st.lists(st.integers(0, 1 << len(toggles)), max_size=4)))
+        bounds = [0, *cuts, 1 << len(toggles)]
+        chunks = [gray_ranks(nrows, ncols, toggles, a, b) for a, b in zip(bounds, bounds[1:])]
+        assert [step for chunk in chunks for step in chunk] == walk
+
+    def test_encodings_toggle_the_matrices_of_the_same_name(self, rng):
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(2, 6))
+            b = random_bipartite(rng, rng.randint(1, 4), rng.randint(1, 4))
+            for build, toggles, rows, cols in (
+                (lambda s: adjacency(g, s), adjacency_toggles(g), g.n, g.n),
+                (lambda s: incidence(g, s), incidence_toggles(g), g.n, g.m),
+                (lambda s: bipartite_adjacency(b, s), bipartite_adjacency_toggles(b),
+                 len(b.side_u), len(b.side_w)),
+            ):
+                for s, r in gray_ranks(rows, cols, toggles):
+                    assert r == rank(build(s))
 
 
 class TestLeftNullspace:

@@ -41,7 +41,6 @@ from rankpoly.mixing import (
     mixing_bound_from_congestion,
     natural_ordering,
     optimal_linear_width,
-    transition_matrix,
     treedec_ordering,
 )
 from conftest import random_graph, random_tree
@@ -516,10 +515,6 @@ class TestExactChain:
         tau = chain.mixing_time(0.25)
         res = run(b, params, 120_000, seed=3, burnin=10 * tau, thin=10)
         assert empirical_tv(chain, res.samples) < 0.05
-
-    def test_factory(self):
-        chain = transition_matrix(cycle_graph(4), ChainParams(RC, F(2), F(1)))
-        assert chain.n_states == 16
 
     def test_limit(self):
         with pytest.raises(LimitExceededError):
