@@ -18,17 +18,13 @@ import sys
 from fractions import Fraction
 
 from rankpoly.chains import RWS, ChainParams
-from rankpoly.graphs import Graph, bipartition_of
+from rankpoly.graphs import bipartition_of, random_tree
 from rankpoly.mixing import (
     ExactChain,
     congestion,
     dfs_tree_ordering,
     mixing_bound_from_congestion,
 )
-
-
-def random_tree(rng: random.Random, n: int) -> Graph:
-    return Graph(n, tuple((rng.randrange(i), i) for i in range(1, n)))
 
 
 def main() -> int:

@@ -2,13 +2,13 @@
 
 Both chains pick a uniform edge e, propose toggling it in the current
 subset, and accept with probability (1/2) * min(1, weight ratio); rejected
-mass stays on the current state.  Both track one GF(2) rank, and toggling
-e is one rank-1 update M + u v^T of its matrix: for the rank-weighted chain
-the |U| x |W| bipartite adjacency (u, v the unit vectors of e's ends), for
-the random-cluster chain the n x m vertex-by-edge incidence (u the two ends
-of e, v the unit vector of column e), whose component count is
-kappa(S) = n - rank.  The weight ratio of a toggle is therefore
-lam^(d rank) * mu^(+-1) for rws and q^(-d rank) * mu^(+-1) for rc.  A step
+mass stays on the current state.  Both track one GF(2) rank, of the matrix
+``ChainParams.encode`` gives, and toggling e is one rank-1 update M + u v^T:
+for the rank-weighted chain the |U| x |W| bipartite adjacency (u, v the
+unit vectors of e's ends), for the random-cluster chain the n x m incidence
+(u the two ends of e, v the unit vector of column e), where
+kappa(S) = n - rank.  So the weight ratio of a toggle is
+base^(d rank) * mu^(+-1), with base lam for rws and 1/q for rc.  A step
 reads d rank with the read-only ``RankProfile.delta_if_flip`` and applies
 the update only when the toggle is accepted.  Since d rank is -1, 0 or 1,
 the six acceptance probabilities are precomputed per parameter set as
@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gf2 import (
-    RankProfile,
+    Toggles,
     bipartite_adjacency,
     bipartite_adjacency_toggles,
-    incidence,
     incidence_toggles,
     rank,
     sample_left_nullspace,
+    toggled_profile,
 )
 from .graphs import BipartiteGraph, EdgeSubset, Graph, components
 from .rng import SplitMix64
@@ -43,13 +43,16 @@ class ChainParams:
     family 'rc' uses (q, mu) component weights on any graph.  Both chains
     are specified for strictly positive weights.
 
+    The family is decided here only: ``encode`` gives the tracked matrix and
+    ``base`` the weight of one unit of its rank (lam, or 1/q).
     ``accept[d + 1][adding]`` is the reduced (num, den) of the acceptance
-    probability of a toggle that changes the tracked rank by d and adds
-    (1) or removes (0) an edge."""
+    probability of a toggle that changes the rank by d and adds (1) or
+    removes (0) an edge."""
 
     family: str
     lam: Fraction  # lam for rws, q for rc
     mu: Fraction
+    base: Fraction = field(init=False, repr=False, compare=False)
     accept: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,20 +63,31 @@ class ChainParams:
         if self.lam <= 0 or self.mu <= 0:
             raise ValueError("chain parameters must be strictly positive")
         # kappa = n - rank, so q^(d kappa) = (1/q)^(d rank)
-        base = self.lam if self.family == RWS else 1 / self.lam
+        object.__setattr__(self, "base", self.lam if self.family == RWS else 1 / self.lam)
         table = []
         for d in (-1, 0, 1):
             row = []
             for d_size in (-1, 1):
-                p = Fraction(1, 2) * min(Fraction(1), base**d * self.mu**d_size)
+                p = Fraction(1, 2) * min(Fraction(1), self.base**d * self.mu**d_size)
                 row.append((p.numerator, p.denominator))
             table.append(tuple(row))
         object.__setattr__(self, "accept", tuple(table))
 
+    def encode(self, g: Graph | BipartiteGraph) -> tuple[Graph, int, int, Toggles]:
+        """(graph, nrows, ncols, toggles) of the tracked matrix: the
+        bipartite adjacency for rws, the incidence for rc, with toggles[e]
+        the rank-1 updates that toggle edge e (``gf2.gray_ranks``)."""
+        if self.family == RWS:
+            if not isinstance(g, BipartiteGraph):
+                raise ValueError("the rank-weighted chain needs a bipartite graph")
+            return g.graph, len(g.side_u), len(g.side_w), bipartite_adjacency_toggles(g)
+        graph = g.graph if isinstance(g, BipartiteGraph) else g
+        return graph, graph.n, graph.m, incidence_toggles(graph)
+
 
 class ChainState:
     """Single-owner mutable state: current subset plus a ``RankProfile`` of
-    its bipartite adjacency (rws) or incidence (rc) matrix.
+    the matrix ``ChainParams.encode`` gives for it.
 
     ``toggles[e]`` is the (rows, cols) bitmask pair of the rank-1 update
     that toggles edge e.  A step probes the rank change first and mutates
@@ -84,35 +98,19 @@ class ChainState:
         self.steps = 0
         self.accepts = 0
         self.subset = subset
-        if params.family == RWS:
-            if not isinstance(g, BipartiteGraph):
-                raise ValueError("the rank-weighted chain needs a bipartite graph")
-            self.bip = g
-            self.graph = g.graph
-            toggles = bipartite_adjacency_toggles(g)
-            matrix = bipartite_adjacency(g, subset)
-        else:
-            self.graph = g.graph if isinstance(g, BipartiteGraph) else g
-            self.bip = None
-            toggles = incidence_toggles(self.graph)
-            matrix = incidence(self.graph, subset)
+        self.graph, nrows, ncols, toggles = params.encode(g)
+        self.bip = g if isinstance(g, BipartiteGraph) else None
         self.toggles = [update for (update,) in toggles]
         self.m = self.graph.m
         if self.m == 0:
             raise ValueError("chain needs at least one edge")
-        self.profile = RankProfile(matrix)
-
-    @property
-    def kappa(self) -> int:
-        """Component count of (V, subset), for the random-cluster chain."""
-        if self.params.family != RC:
-            raise ValueError("only the random-cluster chain tracks components")
-        return self.graph.n - self.profile.rank
+        self.profile = toggled_profile(nrows, ncols, toggles, subset)
 
     @property
     def statistic(self) -> int:
-        """Cached rank (rws) or component count (rc)."""
-        return self.profile.rank if self.params.family == RWS else self.kappa
+        """Cached rank (rws) or component count n - rank (rc)."""
+        r = self.profile.rank
+        return r if self.params.family == RWS else self.graph.n - r
 
     def statistic_from_scratch(self) -> int:
         if self.params.family == RWS:

@@ -169,8 +169,18 @@ def _threads(args, command: str, used: bool) -> int:
     return args.threads
 
 
+def _chain_setup(args, g: graphs.Graph, bip: graphs.BipartiteGraph | None):
+    """(ChainParams, target graph) of --family, --lambda or --q, and --mu."""
+    weight = args.lam if args.lam is not None else args.q
+    if weight is None:
+        raise ValueError("need --lambda (or --q)")
+    params = ChainParams(args.family, weight, args.mu)
+    return params, graphio.require_bipartite(g, bip) if args.family == RWS else g
+
+
 def _cmd_eval(args) -> int:
     threads = _threads(args, f"eval {args.poly}", args.poly in ("r2p", "r2"))
+    exact._check_limit(0, args.max_edges)  # refuses a negative --max-edges
     g, bip = graphio.load_graph(args.graph, args.format)
     if args.poly == "r2p":
         if args.lam is None or args.mu is None:
@@ -196,6 +206,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_count(args) -> int:
     threads = _threads(args, f"count {args.what}", args.what == "bis")
+    exact._check_limit(0, args.max_edges)  # refuses a negative --max-edges
     g, bip = graphio.load_graph(args.graph, args.format)
     if args.what == "bis":
         b = graphio.require_bipartite(g, bip)
@@ -216,11 +227,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_sample(args) -> int:
     g, bip = graphio.load_graph(args.graph, args.format)
-    weight = args.lam if args.lam is not None else args.q
-    if weight is None:
-        raise ValueError("need --lambda (or --q)")
-    params = ChainParams(args.family, weight, args.mu)
-    target = graphio.require_bipartite(g, bip) if args.family == RWS else g
+    params, target = _chain_setup(args, g, bip)
     if args.initial == "empty":
         init = 0
     elif args.initial == "full":
@@ -251,11 +258,7 @@ def _cmd_mix(args) -> int:
     from . import mixing
 
     g, bip = graphio.load_graph(args.graph, args.format)
-    weight = args.lam if args.lam is not None else args.q
-    if weight is None:
-        raise ValueError("need --lambda (or --q)")
-    params = ChainParams(args.family, weight, args.mu)
-    target = graphio.require_bipartite(g, bip) if args.family == RWS else g
+    params, target = _chain_setup(args, g, bip)
     ordering = _resolve_ordering(g, args.ordering)
     chain = mixing.ExactChain(target, params)
 

@@ -40,7 +40,6 @@ from .graphs import (
     Graph,
     LimitExceededError,
     components,
-    component_of,
     twin_classes,
 )
 
@@ -64,6 +63,8 @@ class EvalResult:
 
 def _check_limit(m: int, max_edges: int | None) -> None:
     limit = DEFAULT_ENUM_LIMIT if max_edges is None else max_edges
+    if limit < 0:
+        raise ValueError(f"max_edges must be nonnegative, got {limit}")
     if m > limit:
         raise LimitExceededError(f"{m} edges exceeds enumeration limit {limit}")
 
@@ -550,8 +551,8 @@ def count_pbis_auto(
 ) -> Fraction:
     """Exact permissive count by whichever exact route fits the instance:
     the rank-sum identity, the twin-class regrouping, or the labeling sum."""
-    limit = DEFAULT_ENUM_LIMIT if max_edges is None else max_edges
-    if b.m <= limit:
+    _check_limit(0, max_edges)  # refuses a negative limit
+    if b.m <= (DEFAULT_ENUM_LIMIT if max_edges is None else max_edges):
         return count_pbis(b, eta, max_edges)
     try:
         return count_pbis_twins(b, eta)
@@ -606,26 +607,34 @@ def purity_split_sums(
     """(Z_pure, Z_mixed): sums of lam^(-pure component count) * mu^|S| over
     subsets, split by whether the root's component is pure.
 
-    Requires all W degrees <= 2 and lam != 0.
-    """
+    With W degrees <= 2 the pure component count is |U| - rank.  A pendant
+    W vertex on the root raises the rank by one exactly when the root's
+    component is pure, so with A the (rank, size) table of ups and B that of
+    ups plus the pendant edge, C[r][s] = B[r][s+1] - A[r][s+1] counts
+    pure[r-1][s] + mixed[r][s], and pure[r][s] = pure[r-1][s] + A[r][s] -
+    C[r][s].  Requires the root on U and lam != 0; the enumeration limit
+    applies to ups alone."""
     lam, mu = Fraction(lam), Fraction(mu)
     if lam == 0:
         raise ValueError("lam must be nonzero (negative powers of lam appear)")
     _require_w_degrees_at_most_2(ups)
     _check_limit(ups.m, max_edges)
-    z_pure = Fraction(0)
-    z_mixed = Fraction(0)
-    inv = 1 / lam
-    inv_p = _powers(inv, ups.n)
-    mu_p = _powers(mu, ups.m)
-    for s in range(1 << ups.m):
-        root_pure, kpure = component_of(ups, s, root)
-        term = inv_p[kpure] * mu_p[bin(s).count("1")]
-        if root_pure:
-            z_pure += term
-        else:
-            z_mixed += term
-    return z_pure, z_mixed
+    if root not in ups.side_u:
+        raise ValueError(f"root {root} must lie on the U side")
+    g, m = ups.graph, ups.m
+    pendant = BipartiteGraph(
+        Graph(g.n + 1, g.edges + ((root, g.n),)), ups.side_u, ups.side_w + (g.n,)
+    )
+    a = bipartite_rank_size_counts(ups, m)
+    b = bipartite_rank_size_counts(pendant, m + 1)
+    pure = [[0] * (m + 1) for _ in a]
+    for r, row in enumerate(a):
+        for s in range(m + 1):
+            added = b[r][s + 1] - (row[s + 1] if s < m else 0)
+            pure[r][s] = (pure[r - 1][s] if r else 0) + row[s] - added
+    mixed = [[c - p for c, p in zip(row, prow)] for row, prow in zip(a, pure)]
+    scale = lam ** -len(ups.side_u)
+    return scale * evaluate_table(pure, lam, mu), scale * evaluate_table(mixed, lam, mu)
 
 
 def r2_prime_via_purity(

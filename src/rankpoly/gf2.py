@@ -256,6 +256,17 @@ class RankProfile:
         return [self.T[k] for k in range(self.nrows) if self.R[k] == 0]
 
 
+def toggled_profile(nrows: int, ncols: int, toggles: Toggles, subset: EdgeSubset) -> RankProfile:
+    """A ``RankProfile`` of the zero matrix with ``toggles`` of ``subset`` applied."""
+    prof = RankProfile(zero_matrix(nrows, ncols))
+    rest = subset
+    while rest:
+        for rows, cols in toggles[(rest & -rest).bit_length() - 1]:
+            prof.flip(rows, cols)
+        rest &= rest - 1
+    return prof
+
+
 def gray_ranks(
     nrows: int,
     ncols: int,
@@ -273,14 +284,9 @@ def gray_ranks(
     stop = 1 << len(toggles) if stop is None else stop
     if start >= stop:
         return
-    prof = RankProfile(zero_matrix(nrows, ncols))
-    flip = prof.flip
     cur = start ^ (start >> 1)
-    rest = cur
-    while rest:
-        for rows, cols in toggles[(rest & -rest).bit_length() - 1]:
-            flip(rows, cols)
-        rest &= rest - 1
+    prof = toggled_profile(nrows, ncols, toggles, cur)
+    flip = prof.flip
     yield cur, prof.rank
     for t in range(start + 1, stop):
         e = (t & -t).bit_length() - 1

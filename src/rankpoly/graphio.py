@@ -16,6 +16,7 @@ graph is built; any malformed file raises ``GraphFormatError``.
 
 from __future__ import annotations
 
+import decimal
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -56,9 +57,12 @@ def parse_fraction(text: str) -> Fraction:
 
 def format_fraction(value: Fraction) -> str:
     value = Fraction(value)
+    # Decimal converts an int of any length, past the interpreter's limit
+    # on int-to-string digits, and prints the same digits as str
+    num = str(decimal.Decimal(value.numerator))
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return num
+    return f"{num}/{decimal.Decimal(value.denominator)}"
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -227,17 +227,6 @@ def pure_component_count(b: BipartiteGraph, subset: EdgeSubset) -> int:
     return sum(pure)
 
 
-def component_of(
-    b: BipartiteGraph, subset: EdgeSubset, vertex: int
-) -> tuple[bool, int]:
-    """(vertex's component is pure, number of pure components)."""
-    _, comps, pure = components(b.graph, subset, b.side_w)
-    for comp, flag in zip(comps, pure):
-        if vertex in comp:
-            return flag, sum(pure)
-    raise ValueError(f"vertex {vertex} not in graph")
-
-
 def is_connected(g: Graph, subset: EdgeSubset | None = None) -> bool:
     s = g.full_subset() if subset is None else subset
     kappa, _ = components(g, s)
@@ -535,6 +524,20 @@ def complete_graph(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     g = Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
+    return BipartiteGraph(g, tuple(range(a)), tuple(range(a, a + b)))
+
+
+def random_tree(rng, n: int) -> Graph:
+    """Random recursive tree: vertex i > 0 joins a uniform earlier vertex,
+    drawn in order with ``rng.randrange`` (a ``random.Random``)."""
+    return Graph(n, tuple((rng.randrange(i), i) for i in range(1, n)))
+
+
+def random_bipartite(rng, a: int, b: int, density: float = 0.5) -> BipartiteGraph:
+    """U = 0..a-1, W = a..a+b-1, each of the a*b pairs an edge when
+    ``rng.random() < density``, drawn in (U, W) order."""
+    poss = [(i, a + j) for i in range(a) for j in range(b)]
+    g = Graph(a + b, tuple(e for e in poss if rng.random() < density))
     return BipartiteGraph(g, tuple(range(a)), tuple(range(a, a + b)))
 
 

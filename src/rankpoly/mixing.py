@@ -17,15 +17,14 @@ from itertools import permutations
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .chains import RC, RWS, ChainParams
-from .gf2 import bipartite_adjacency_toggles, gray_ranks, incidence_toggles
+from .chains import ChainParams
+from .gf2 import gray_ranks
 from .graphs import (
     BipartiteGraph,
     EdgeSubset,
     Graph,
     LimitExceededError,
     TreeDecomposition,
-    bipartition_of,
     components,
     twin_classes,
 )
@@ -199,6 +198,9 @@ class ExactChain:
     weights; the transition operator is applied sparsely, never densified
     beyond one row per single-edge move.
 
+    ``statistic[s]`` is the rank of the matrix ``ChainParams.encode`` gives
+    for s, and ``weights[s]`` is base^rank * mu^|S| scaled to an integer.
+
     Swapping two twin vertices (equal non-empty open neighbourhoods) permutes
     the edges, keeps |S|, kappa(S) and the bipartite rank of S (twins share
     a neighbour, so they sit on one side of every bipartition), and so
@@ -212,7 +214,7 @@ class ExactChain:
         params: ChainParams,
         max_edges: int = CHAIN_STATE_LIMIT,
     ):
-        graph = g.graph if isinstance(g, BipartiteGraph) else g
+        graph, nrows, ncols, toggles = params.encode(g)
         if graph.m > max_edges:
             raise LimitExceededError(
                 f"exact chain limited to {max_edges} edges, got {graph.m}"
@@ -221,29 +223,21 @@ class ExactChain:
             raise ValueError("chain needs at least one edge")
         self.params = params
         self.graph = graph
-        self.m = graph.m
-        self.n_states = 1 << graph.m
-        if params.family == RWS:
-            bip = g if isinstance(g, BipartiteGraph) else bipartition_of(g)
-            top = min(len(bip.side_u), len(bip.side_w))
-            walk = gray_ranks(len(bip.side_u), len(bip.side_w), bipartite_adjacency_toggles(bip))
-        else:
-            top = graph.n
-            walk = gray_ranks(graph.n, graph.m, incidence_toggles(graph))
+        self.m = m = graph.m
+        self.n_states = 1 << m
         stat = [0] * self.n_states
-        for s, r in walk:  # rws keeps the rank, rc kappa = n - incidence rank
-            stat[s] = r if params.family == RWS else top - r
+        for s, r in gray_ranks(nrows, ncols, toggles):
+            stat[s] = r
         self.statistic = stat
-        a, b = params.lam.numerator, params.lam.denominator
+        top = min(nrows, ncols)
+        a, b = params.base.numerator, params.base.denominator
         c, d = params.mu.numerator, params.mu.denominator
-        m = self.m
         apow = [a**i for i in range(top + 1)]
         bpow = [b**i for i in range(top + 1)]
         cpow = [c**i for i in range(m + 1)]
         dpow = [d**i for i in range(m + 1)]
         self.weights = [
-            apow[stat[s]] * bpow[top - stat[s]] * cpow[bin(s).count("1")]
-            * dpow[m - bin(s).count("1")]
+            apow[stat[s]] * bpow[top - stat[s]] * cpow[s.bit_count()] * dpow[m - s.bit_count()]
             for s in range(self.n_states)
         ]
         self.total_weight = sum(self.weights)
@@ -310,10 +304,7 @@ class ExactChain:
             bits = 1 << np.arange(m)
             moves = states[:, None] ^ bits
             stat = np.array(self.statistic)
-            # rc tracks the incidence rank n - kappa: its rank change is -d kappa
             d_rank = stat[moves] - stat[:, None]
-            if self.params.family == RC:
-                d_rank = -d_rank
             adding = (states[:, None] & bits) == 0
             table = np.array([[num / (den * m) for num, den in row] for row in self.params.accept])
             probs = table[d_rank + 1, adding.astype(np.intp)]

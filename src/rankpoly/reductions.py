@@ -20,11 +20,12 @@ from math import gcd, isqrt
 
 from .exact import (
     _check_limit,
+    biclique_gadget_closed_forms,
     count_pbis_auto,
+    fan_gadget_closed_forms,
     purity_split_sums,
     r2_prime,
     random_cluster,
-    tutte,
 )
 from .graphs import (
     BipartiteGraph,
@@ -108,27 +109,26 @@ def _primes_up_to(cap: int):
 # Gadget parameter search (Tutte pipeline)
 
 
-def _nonzero_mod(x: Fraction, p: int) -> bool:
-    return x.numerator % p != 0
+def _conditions_hold(p: int, x: Fraction, y: Fraction) -> bool:
+    """X != 0 and Y == 0 mod p, neither denominator divisible by the prime p."""
+    return x.numerator * x.denominator * y.denominator % p != 0 and y.numerator % p == 0
 
 
-def _fraction_denominators_ok(p: int, *values: Fraction) -> bool:
-    return all(v.denominator % p != 0 for v in values)
+def _gadget_for(mu: Fraction, k: int) -> tuple[BipartiteGraph, int]:
+    """The biclique gadget at mu = -2, else the fan."""
+    return biclique_gadget(k) if mu == -2 else fan_gadget(k)
+
+
+def _closed_forms(lam: Fraction, mu: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """(X, Y) of the gadget ``_gadget_for(mu, k)`` from its closed forms."""
+    return biclique_gadget_closed_forms(k, lam) if mu == -2 else fan_gadget_closed_forms(k, lam, mu)
 
 
 def gadget_conditions_hold(
     lam: Fraction, mu: Fraction, p: int, k: int
 ) -> bool:
     """Check X != 0 and Y == 0 mod p from the gadget closed forms."""
-    from .exact import biclique_gadget_closed_forms, fan_gadget_closed_forms
-
-    if mu == -2:
-        x, y = biclique_gadget_closed_forms(k, lam)
-    else:
-        x, y = fan_gadget_closed_forms(k, lam, mu)
-    if not _fraction_denominators_ok(p, x, y):
-        return False
-    return _nonzero_mod(x, p) and rational_mod_p(y, p).value == 0
+    return _conditions_hold(p, *_closed_forms(lam, mu, k))
 
 
 def find_gadget_params(
@@ -206,10 +206,6 @@ def _gadget_witness(lam: Fraction, mu: Fraction, p: int) -> int | None:
 # Stretch-sum congruence (one prime)
 
 
-def _gadget_for(mu: Fraction, k: int) -> tuple[BipartiteGraph, int]:
-    return biclique_gadget(k) if mu == -2 else fan_gadget(k)
-
-
 def verify_reduction_congruence(
     h: Graph,
     lam: Fraction,
@@ -231,19 +227,10 @@ def verify_reduction_congruence(
     gadget, root = _gadget_for(mu, k)
     if gadget.m <= GADGET_ENUM_LIMIT:
         zp, zm = purity_split_sums(gadget, root, lam, mu)
-        x_val = lam * zp
-        y_val = lam * zp + zm
-    else:
-        from .exact import biclique_gadget_closed_forms, fan_gadget_closed_forms
-
-        x_val, y_val = (
-            biclique_gadget_closed_forms(k, lam)
-            if mu == -2
-            else fan_gadget_closed_forms(k, lam, mu)
-        )
-    if not _fraction_denominators_ok(p, x_val, y_val) or not (
-        _nonzero_mod(x_val, p) and rational_mod_p(y_val, p).value == 0
-    ):
+        x_val, y_val = lam * zp, lam * zp + zm
+    else:  # past the enumeration limit only the closed forms remain
+        x_val, y_val = _closed_forms(lam, mu, k)
+    if not _conditions_hold(p, x_val, y_val):
         raise GadgetConditionError(
             f"(p={p}, k={k}) fails the gadget congruence conditions"
         )
@@ -344,11 +331,7 @@ def tutte_via_oracle(
         gadget, root, g = stretched[k]
         zp, zm = sums[k]
         x_val = lam * zp
-        if not (
-            _fraction_denominators_ok(p, x_val, lam * zp + zm)
-            and _nonzero_mod(x_val, p)
-            and rational_mod_p(lam * zp + zm, p).value == 0
-        ):
+        if not _conditions_hold(p, x_val, x_val + zm):
             raise GadgetConditionError(f"(p={p}, k={k}) failed re-verification")
         if k not in queries:
             queries[k] = r2_prime(g, lam, mu, max_edges, workers).value

@@ -14,18 +14,6 @@ from . import exact, gf2, graphs, mixing, reductions
 from .chains import RC, RWS, ChainParams
 
 
-def _random_bipartite(rng: random.Random, a: int, b: int, density: float = 0.5):
-    poss = [(i, a + j) for i in range(a) for j in range(b)]
-    edges = tuple(e for e in poss if rng.random() < density)
-    g = graphs.Graph(a + b, edges)
-    return graphs.BipartiteGraph(g, tuple(range(a)), tuple(range(a, a + b)))
-
-
-def _random_tree(rng: random.Random, n: int) -> graphs.Graph:
-    edges = [(rng.randrange(i), i) for i in range(1, n)]
-    return graphs.Graph(n, tuple(edges))
-
-
 def check_rank_flip_consistency() -> tuple[bool, str]:
     """Entry flips and rank-1 updates keep the from-scratch rank, and the
     read-only probe predicts the change of each, read by flip and undo."""
@@ -54,7 +42,7 @@ def check_rank_flip_consistency() -> tuple[bool, str]:
 def check_purity_rank_identity() -> tuple[bool, str]:
     rng = random.Random(99)
     for trial in range(30):
-        h = _random_tree(rng, rng.randint(2, 5))
+        h = graphs.random_tree(rng, rng.randint(2, 5))
         b = graphs.two_stretch(h)
         for s in range(1 << b.m):
             rk = gf2.rank(gf2.bipartite_adjacency(b, s))
@@ -68,7 +56,7 @@ def check_bis_identity() -> tuple[bool, str]:
     rng = random.Random(5)
     cases = [graphs.bipartition_of(graphs.path_graph(n)) for n in range(2, 7)]
     cases += [graphs.complete_bipartite(2, 3), graphs.bipartition_of(graphs.cycle_graph(6))]
-    cases += [_random_bipartite(rng, 3, 3) for _ in range(10)]
+    cases += [graphs.random_bipartite(rng, 3, 3) for _ in range(10)]
     for b in cases:
         if exact.count_bis(b) != exact.count_bis_oracle(b):
             return False, f"mismatch on {b.graph.edges}"
@@ -78,7 +66,7 @@ def check_bis_identity() -> tuple[bool, str]:
 def check_pbis_identity() -> tuple[bool, str]:
     rng = random.Random(6)
     for _ in range(8):
-        b = _random_bipartite(rng, 3, 3)
+        b = graphs.random_bipartite(rng, 3, 3)
         for eta in (Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)):
             if exact.count_pbis(b, eta) != exact.count_pbis_oracle(b, eta):
                 return False, f"mismatch on {b.graph.edges} at eta={eta}"
@@ -88,7 +76,7 @@ def check_pbis_identity() -> tuple[bool, str]:
 def check_special_points() -> tuple[bool, str]:
     rng = random.Random(7)
     for _ in range(10):
-        b = _random_bipartite(rng, 3, 3)
+        b = graphs.random_bipartite(rng, 3, 3)
         g = b.graph
         t = g.isolated_count()
         if exact.r2_prime(b, Fraction(1, 2), Fraction(-1)).value != Fraction(2) ** (g.m - g.n + t):
@@ -124,7 +112,7 @@ def check_gadget_forms() -> tuple[bool, str]:
 def check_matching_rank() -> tuple[bool, str]:
     rng = random.Random(8)
     for trial in range(40):
-        t = _random_tree(rng, rng.randint(2, 9))
+        t = graphs.random_tree(rng, rng.randint(2, 9))
         b = graphs.bipartition_of(t)
         s = rng.randrange(1 << t.m)
         if gf2.rank(gf2.bipartite_adjacency(b, s)) != graphs.max_matching(t, s):
@@ -138,7 +126,7 @@ def check_structure_routes() -> tuple[bool, str]:
     rank and component count of every subset."""
     rng = random.Random(13)
     for trial in range(40):
-        t = _random_tree(rng, rng.randint(2, 9))
+        t = graphs.random_tree(rng, rng.randint(2, 9))
         depth = [0] * t.n
         for u, v in t.edges:
             depth[v] = depth[u] + 1
@@ -183,7 +171,7 @@ def check_detailed_balance() -> tuple[bool, str]:
 
 def check_difference_bounds() -> tuple[bool, str]:
     rng = random.Random(9)
-    t = _random_tree(rng, 7)
+    t = graphs.random_tree(rng, 7)
     ordering = mixing.dfs_tree_ordering(t)
     ell = ordering.width
     for _ in range(300):
@@ -209,7 +197,7 @@ def check_tree_ordering_width() -> tuple[bool, str]:
 
     for _ in range(30):
         n = rng.randint(2, 200)
-        t = _random_tree(rng, n)
+        t = graphs.random_tree(rng, n)
         w = mixing.dfs_tree_ordering(t).width
         if w > int(math.log2(n)):
             return False, f"width {w} > floor(log2 {n})"

@@ -301,3 +301,43 @@ def left_nullspace_elements(mat) -> list[int]:
     for b in basis:
         out += [x ^ b for x in out]
     return out
+
+
+class TestEncoding:
+    """The family is an encoding: ChainParams gives the tracked matrix and
+    the weight of one unit of its rank."""
+
+    def test_base_is_lam_for_rws_and_inverse_q_for_rc(self):
+        assert ChainParams(RWS, F(3), F(2)).base == F(3)
+        assert ChainParams(RC, F(3), F(2)).base == F(1, 3)
+
+    def test_encode_gives_the_matrix_of_each_family(self, rng):
+        from rankpoly.gf2 import incidence, toggled_profile
+
+        for _ in range(20):
+            b = random_bipartite(rng, rng.randrange(1, 4), rng.randrange(1, 4), 0.7)
+            s = rng.randrange(1 << b.m) if b.m else 0
+            for family, matrix in ((RWS, bipartite_adjacency(b, s)), (RC, incidence(b.graph, s))):
+                graph, nrows, ncols, toggles = ChainParams(family, F(2), F(1)).encode(b)
+                assert graph is b.graph
+                assert toggled_profile(nrows, ncols, toggles, s).matrix() == matrix
+
+    def test_rws_on_a_plain_graph_raises(self):
+        with pytest.raises(ValueError, match="bipartite"):
+            ChainParams(RWS, F(1), F(1)).encode(path_graph(3))
+
+    def test_random_starts_hold_the_scratch_rank(self, rng):
+        from rankpoly.gf2 import incidence
+
+        for case in range(16):
+            b = random_bipartite(rng, rng.randrange(1, 5), rng.randrange(1, 5), 0.6)
+            if b.m == 0:
+                continue
+            family = (RWS, RC)[case % 2]
+            matrix = (lambda s: bipartite_adjacency(b, s)) if family == RWS else (lambda s: incidence(b.graph, s))
+            state = ChainState(b, ChainParams(family, F(2, 3), F(3, 2)), rng.randrange(1 << b.m))
+            gen = SplitMix64(case)
+            for _ in range(200):
+                assert state.profile.rank == rank(matrix(state.subset))
+                assert state.statistic == state.statistic_from_scratch()
+                state.step(gen)

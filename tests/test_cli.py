@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -439,3 +440,57 @@ class TestGraphIo:
         assert code == 1
         report = json.loads(out.splitlines()[-1])
         assert report["structure-routes"] is False
+
+
+class TestMaxEdges:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "r2p", "--lambda", "1", "--mu", "1"),
+        ("eval", "r2", "--lambda", "1", "--mu", "1"),
+        ("eval", "zrc", "--q", "2", "--mu", "1"),
+        ("eval", "tutte", "--x", "2", "--y", "3"),
+        ("count", "bis"),
+        ("count", "pbis", "--eta", "1/3"),
+        ("count", "matchings"),
+        ("count", "perfect-matchings"),
+        ("count", "is"),
+    ])
+    @pytest.mark.parametrize("text", ["0 1\n", "0 1\n1 2\n", '{"n": 2, "edges": []}'])
+    def test_negative_is_refused_in_one_line(self, capsys, tmp_path, argv, text):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, *argv[:2], "--graph", str(p), *argv[2:], "--max-edges", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: max_edges must be nonnegative, got -1\n"
+
+    def test_zero_is_a_limit(self, capsys, k2):
+        code, _, err = run_cli(capsys, "eval", "r2p", "--graph", k2, "--lambda", "1", "--mu", "1",
+                               "--max-edges", "0")
+        assert code == 1 and err == "error: 1 edges exceeds enumeration limit 0\n"
+
+
+def test_value_past_the_integer_string_limit(capsys, k2):
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "eval", "r2p", "--graph", k2, "--lambda", "1e5000", "--mu", "1")
+    assert code == 0 and err == ""
+    exact_line, approx = out.splitlines()
+    assert len(exact_line) == 5001 and exact_line == "1" + "0" * 4999 + "1"
+    assert approx == "~ 1e+5000"
+    assert format_fraction(F(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_selftest_detects_purity_without_the_pendant(capsys, monkeypatch):
+    from rankpoly import exact
+
+    def without_pendant(ups, root, lam, mu, max_edges=None):
+        # every subset counted as root-pure: the pendant table never consulted
+        table = exact.bipartite_rank_size_counts(ups, max_edges)
+        return F(lam) ** -len(ups.side_u) * exact.evaluate_table(table, F(lam), F(mu)), F(0)
+
+    monkeypatch.setattr(exact, "purity_split_sums", without_pendant)
+    code, out, _ = run_cli(capsys, "selftest", "--quick")
+    assert code == 1
+    report = json.loads(out.splitlines()[-1])
+    assert report["gadget-closed-forms"] is False

@@ -433,3 +433,80 @@ TWIN_CASES = [
 @pytest.mark.parametrize("eta", [F(1), F(-1), F(1, 3), F(3)])
 def test_twin_closed_form_matches_labeling_oracle(g, eta):
     assert count_pbis_twins(g, eta) == count_pbis_oracle(g, eta)
+
+
+@st.composite
+def w_degree_two_graphs(draw):
+    """A bipartite graph with every W degree at most 2 (isolated and
+    degree-1 W vertices included), a root on U, and m <= 10."""
+    nu = draw(st.integers(1, 4))
+    nw = draw(st.integers(0, 5))
+    edges = []
+    for j in range(nw):
+        nbrs = draw(st.lists(st.integers(0, nu - 1), max_size=2, unique=True))
+        edges += [(u, nu + j) for u in nbrs]
+    edges = edges[:10]
+    g = Graph(nu + nw, tuple(edges))
+    b = BipartiteGraph(g, tuple(range(nu)), tuple(range(nu, nu + nw)))
+    return b, draw(st.integers(0, nu - 1))
+
+
+def purity_split_by_definition(ups, root, lam, mu):
+    """Both sums subset by subset, from the components' purity flags."""
+    z_pure = z_mixed = F(0)
+    for s in range(1 << ups.m):
+        _, comps, pure = components(ups.graph, s, ups.side_w)
+        term = lam ** -sum(pure) * mu ** bin(s).count("1")
+        if next(flag for comp, flag in zip(comps, pure) if root in comp):
+            z_pure += term
+        else:
+            z_mixed += term
+    return z_pure, z_mixed
+
+
+class TestPuritySplitTables:
+    @given(w_degree_two_graphs(), st.sampled_from([F(1), F(1, 3), F(5, 2)]),
+           st.sampled_from([F(0), F(-1), F(2)]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_subset_definition(self, case, lam, mu):
+        ups, root = case
+        assert purity_split_sums(ups, root, lam, mu) == purity_split_by_definition(ups, root, lam, mu)
+
+    def test_26_edge_tree_gadget_runs(self):
+        ups, root = fan_gadget(24)
+        assert ups.m == 26
+        zp, zm = purity_split_sums(ups, root, F(1, 3), F(2))
+        assert (F(1, 3) * zp, F(1, 3) * zp + zm) == fan_gadget_closed_forms(24, F(1, 3), F(2))
+
+    def test_27_edge_gadget_raises_before_any_table(self, monkeypatch):
+        from rankpoly import exact
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a table was built past the limit")
+
+        monkeypatch.setattr(exact, "bipartite_rank_size_counts", forbidden)
+        ups, root = fan_gadget(25)
+        with pytest.raises(LimitExceededError, match="27 edges exceeds enumeration limit 26"):
+            purity_split_sums(ups, root, F(1, 3), F(2))
+        with pytest.raises(LimitExceededError, match="3 edges exceeds enumeration limit 2"):
+            purity_split_sums(*fan_gadget(1), F(1, 3), F(2), max_edges=2)
+
+    def test_root_must_lie_on_u(self):
+        ups, _ = fan_gadget(1)
+        with pytest.raises(ValueError, match="U side"):
+            purity_split_sums(ups, ups.side_w[0], F(1, 3), F(2))
+
+
+class TestNegativeLimit:
+    def test_refused_for_api_callers(self):
+        edgeless = bipartition_of(Graph(2, ()))
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            r2_prime(edgeless, F(1), F(1), max_edges=-1)
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            count_pbis_auto(complete_bipartite(2, 2), F(1, 3), max_edges=-1)
+        for build in (graph_rank_size_counts, component_size_counts):
+            with pytest.raises(ValueError, match="nonnegative, got -3"):
+                build(path_graph(2), max_edges=-3)
+
+    def test_zero_still_allows_the_edgeless_graph(self):
+        assert r2_prime(bipartition_of(Graph(2, ())), F(2), F(3), max_edges=0).value == 1

@@ -341,3 +341,15 @@ def test_twin_classes_group_equal_neighbourhoods():
     g = Graph(8, ((0, 2), (0, 3), (1, 2), (1, 3), (4, 5)))
     assert twin_classes(g) == [[0, 1], [2, 3], [4], [5], [6, 7]]
     assert twin_classes(star_graph(4)) == [[0], [1, 2, 3, 4]]
+
+
+def test_random_builders_draw_in_a_fixed_order():
+    from rankpoly import graphs
+
+    rng, ref = random.Random(3), random.Random(3)
+    t = graphs.random_tree(rng, 9)
+    assert t.edges == tuple((ref.randrange(i), i) for i in range(1, 9))
+    b = graphs.random_bipartite(rng, 3, 4, 0.4)
+    kept = tuple((i, 3 + j) for i in range(3) for j in range(4) if ref.random() < 0.4)
+    assert b.edges == kept and b.side_u == (0, 1, 2) and b.side_w == (3, 4, 5, 6)
+    assert rng.random() == ref.random()

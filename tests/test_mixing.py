@@ -704,3 +704,27 @@ class TestOperatorAndCongestionReferences:
             target = target_for(family, g)
             res = congestion(target, natural_ordering(g), params)
             assert (res.rho, res.argmax) == reference_congestion(target, natural_ordering(g), params)
+
+
+class TestOneRank:
+    """ExactChain tracks the rank of the matrix ChainParams.encode gives."""
+
+    def test_statistic_is_the_scratch_rank_for_both_families(self, rng):
+        from rankpoly.gf2 import bipartite_adjacency, incidence, rank
+
+        for case in range(12):
+            g = random_tree(rng, rng.randint(2, 6)) if case % 3 else cycle_graph(rng.choice([4, 6]))
+            b = bipartition_of(g)
+            for family, matrix in ((RWS, lambda s: bipartite_adjacency(b, s)), (RC, lambda s: incidence(g, s))):
+                chain = ExactChain(target_for(family, g), ChainParams(family, F(2, 5), F(7, 3)))
+                assert chain.statistic == [rank(matrix(s)) for s in range(chain.n_states)]
+
+    def test_rc_weights_are_q_to_the_components(self):
+        g = cycle_graph(5)
+        chain = ExactChain(g, ChainParams(RC, F(3), F(2, 7)))
+        weights = [F(3) ** components(g, s)[0] * F(2, 7) ** bin(s).count("1") for s in range(chain.n_states)]
+        assert chain.pi_exact() == [w / sum(weights) for w in weights]
+
+    def test_rws_on_a_plain_graph_raises(self):
+        with pytest.raises(ValueError, match="bipartite"):
+            ExactChain(star_graph(3), ChainParams(RWS, F(1, 2), F(1)))

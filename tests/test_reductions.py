@@ -319,3 +319,18 @@ class TestBisPipeline:
         # eta=3 has a single collapse-safe prime (5); the bound needs more
         with pytest.raises(ValueError, match="not enough"):
             bis_via_pbis_oracle(path_graph(2), F(3))
+
+
+def test_one_gadget_check():
+    hold = reductions._conditions_hold
+    assert hold(5, F(2, 3), F(10, 7))
+    assert not hold(5, F(5, 3), F(10, 7))  # X == 0 mod p
+    assert not hold(5, F(2, 3), F(11, 7))  # Y != 0 mod p
+    assert not hold(5, F(2, 15), F(10, 7))  # p divides a denominator
+    assert not hold(5, F(2, 3), F(10, 35))
+    for lam, mu in ((F(1, 3), F(1)), (F(-1), F(-2)), (F(2, 5), F(3))):
+        for p in (3, 5, 7, 11):
+            for k in range(1, 4):
+                gadget, root = reductions._gadget_for(mu, k)
+                zp, zm = purity_split_sums(gadget, root, lam, mu)
+                assert gadget_conditions_hold(lam, mu, p, k) == hold(p, lam * zp, lam * zp + zm)
