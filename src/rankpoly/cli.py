@@ -4,7 +4,7 @@ linear-width tools, modular reductions, and the identity selftest.
 Exit codes: 0 success, 1 domain error (bad input values, limits, unreadable
 files), 2 usage error.  All rational output is an exact fraction line
 followed by a "~ <decimal>" approximation line.  Fixed inputs, flags, and
-seed give byte-identical output; --threads only partitions work.
+seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_fraction, help="Tutte x")
     p.add_argument("--y", type=_fraction, help="Tutte y")
     p.add_argument("--max-edges", type=int, default=None, help="enumeration cap override")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for enumeration")
 
     p = sub.add_parser("count", help="integer counting specialisations")
     p.add_argument(
@@ -73,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--eta", type=_fraction, help="permissive parameter (pbis)")
     p.add_argument("--max-edges", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("sample", help="run a single-bond-flip chain")
     p.add_argument("family", choices=[RWS, RC])
@@ -96,9 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_fraction)
     p.add_argument("--mu", type=_fraction, required=True)
     p.add_argument("--eps", type=float, default=0.25)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact tau via the operator (default)")
-    mode.add_argument("--empirical", type=int, metavar="N", help="N chain steps, histogram TV")
+    p.add_argument("--empirical", type=int, metavar="N", help="N chain steps, histogram TV")
     p.add_argument(
         "--ordering",
         default="auto",
@@ -131,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--x", type=_fraction, required=True)
     rp.add_argument("--y", type=_fraction, required=True)
     rp.add_argument("--prime-cap", type=int, default=reductions.DEFAULT_PRIME_CAP)
-    rp.add_argument("--threads", type=int, default=1)
     rb = rsub.add_parser("bis")
     _add_graph_arg(rb)
     rb.add_argument("--eta", type=_fraction, required=True)
@@ -159,16 +154,6 @@ def _resolve_ordering(g: graphs.Graph, spec: str) -> mixing.EdgeOrdering:
     raise ValueError(f"unknown ordering {spec!r}")
 
 
-def _threads(args, command: str, used: bool) -> int:
-    """The validated --threads value of ``command``, which partitions its
-    work over processes only when ``used``."""
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    if args.threads != 1 and not used:
-        raise ValueError(f"{command} runs in one process; --threads must be 1")
-    return args.threads
-
-
 def _chain_setup(args, g: graphs.Graph, bip: graphs.BipartiteGraph | None):
     """(ChainParams, target graph) of --family, --lambda or --q, and --mu."""
     weight = args.lam if args.lam is not None else args.q
@@ -179,19 +164,18 @@ def _chain_setup(args, g: graphs.Graph, bip: graphs.BipartiteGraph | None):
 
 
 def _cmd_eval(args) -> int:
-    threads = _threads(args, f"eval {args.poly}", args.poly in ("r2p", "r2"))
     exact._check_limit(0, args.max_edges)  # refuses a negative --max-edges
     g, bip = graphio.load_graph(args.graph, args.format)
     if args.poly == "r2p":
         if args.lam is None or args.mu is None:
             raise ValueError("r2p needs --lambda and --mu")
         b = graphio.require_bipartite(g, bip)
-        res = exact.r2_prime(b, args.lam, args.mu, args.max_edges, threads)
+        res = exact.r2_prime(b, args.lam, args.mu, args.max_edges)
         _print_value(res.value)
     elif args.poly == "r2":
         if args.lam is None or args.mu is None:
             raise ValueError("r2 needs --lambda and --mu")
-        _print_value(exact.r2(g, args.lam, args.mu, args.max_edges, threads).value)
+        _print_value(exact.r2(g, args.lam, args.mu, args.max_edges).value)
     elif args.poly == "zrc":
         q = args.q if args.q is not None else args.lam
         if q is None or args.mu is None:
@@ -205,12 +189,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    threads = _threads(args, f"count {args.what}", args.what == "bis")
     exact._check_limit(0, args.max_edges)  # refuses a negative --max-edges
+    if args.what == "is" and args.max_edges is not None:
+        raise ValueError("count is enumerates no edge subsets; --max-edges does not apply")
     g, bip = graphio.load_graph(args.graph, args.format)
     if args.what == "bis":
         b = graphio.require_bipartite(g, bip)
-        _print_value(Fraction(exact.count_bis(b, args.max_edges, threads)))
+        _print_value(Fraction(exact.count_bis(b, args.max_edges)))
     elif args.what == "pbis":
         if args.eta is None:
             raise ValueError("pbis needs --eta")
@@ -255,6 +240,8 @@ def _cmd_sample(args) -> int:
 def _cmd_mix(args) -> int:
     if not 0 < args.eps < 1:  # also false for nan and inf
         raise ValueError(f"eps must lie strictly between 0 and 1, got {args.eps}")
+    if args.empirical is not None and args.csv_out:
+        raise ValueError("--empirical draws no TV curve; --csv-out needs the exact mode")
     from . import mixing
 
     g, bip = graphio.load_graph(args.graph, args.format)
@@ -262,30 +249,23 @@ def _cmd_mix(args) -> int:
     ordering = _resolve_ordering(g, args.ordering)
     chain = mixing.ExactChain(target, params)
 
-    rows: list[tuple[int, list[float]]] = []
-    csv_starts = sorted({0, chain.n_states - 1, min(range(chain.n_states), key=lambda s: chain.weights[s])})
+    tau = tv = None
     if args.empirical is not None:
         result = chains.run(target, params, args.empirical, args.seed, 0, 0, max(1, args.empirical // 10_000))
         tv = mixing.empirical_tv(chain, result.samples) if result.samples else 1.0
-        tau = None
-        curves = None
     else:
+        trio = chain.trio()
         if args.starts == "all":
             starts = list(range(chain.n_states))
         elif args.starts == "trio":
-            starts = csv_starts
+            starts = trio
         else:
             starts = None
         tau = chain.mixing_time(args.eps, starts)
-        tv = None
-        curves = [chain.tv_curve(s, eps=args.eps) for s in csv_starts]
-        horizon = max(len(c) for c in curves)
-        for t in range(horizon):
-            rows.append((t, [c[t] if t < len(c) else c[-1] for c in curves]))
-
-    if rows:
-        lines = ["step," + ",".join(f"tv_from_{s:#x}" for s in csv_starts)]
-        lines += [f"{t}," + ",".join(f"{v:.6g}" for v in vals) for t, vals in rows]
+        curves = [chain.tv_curve(s, eps=args.eps) for s in trio]
+        lines = ["step," + ",".join(f"tv_from_{s:#x}" for s in trio)]
+        for t in range(max(len(c) for c in curves)):
+            lines.append(f"{t}," + ",".join(f"{c[min(t, len(c) - 1)]:.6g}" for c in curves))
         text = "\n".join(lines)
         if args.csv_out:
             with open(args.csv_out, "w") as fh:
@@ -335,9 +315,7 @@ def _cmd_lw(args) -> int:
 def _cmd_reduce(args) -> int:
     g, _ = graphio.load_graph(args.graph, args.format)
     if args.pipeline == "tutte":
-        value, cert = reductions.tutte_via_oracle(
-            g, args.x, args.y, args.prime_cap, workers=_threads(args, "reduce tutte", True)
-        )
+        value, cert = reductions.tutte_via_oracle(g, args.x, args.y, args.prime_cap)
     else:
         value, cert = reductions.bis_via_pbis_oracle(g, args.eta, args.prime_cap)
     print(json.dumps(cert.to_dict(), sort_keys=True))

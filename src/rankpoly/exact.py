@@ -23,7 +23,6 @@ nothing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -219,44 +218,20 @@ def _tree_matching_table(t: Graph) -> Table:
     return _add(free[0], matched[0])
 
 
-def _table_chunk(job: tuple) -> list[list[int]]:
-    """counts[r][s] over the subsets at Gray positions [start, stop)."""
-    nrows, ncols, toggles, start, stop = job
-    counts = [[0] * (len(toggles) + 1) for _ in range(min(nrows, ncols) + 1)]
-    for subset, r in gray_ranks(nrows, ncols, toggles, start, stop):
-        counts[r][subset.bit_count()] += 1
-    return counts
-
-
-def _chunk_bounds(total: int, workers: int, cpus: int | None) -> list[tuple[int, int]]:
-    """Split range(total) into contiguous non-empty [start, stop) chunks, one
-    per process: at most ``workers``, the CPU count (one if unknown) and
-    ``total``."""
-    count = max(1, min(workers, cpus or 1, total))
-    bounds = [total * i // count for i in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _walked(nrows: int, ncols: int, toggles: Toggles, workers: int = 1) -> Table:
+def _walked(nrows: int, ncols: int, toggles: Toggles) -> Table:
     """The {(rank, size): count} table of one component by the Gray-code
-    rank walk, split over processes if ``workers > 1``."""
-    if workers == 1:
-        return _table_to_terms(_table_chunk((nrows, ncols, toggles, 0, 1 << len(toggles))))
-    import multiprocessing as mp
-
-    chunks = _chunk_bounds(1 << len(toggles), workers, os.cpu_count())
-    with mp.Pool(len(chunks)) as pool:
-        parts = pool.map(_table_chunk, [(nrows, ncols, toggles, a, b) for a, b in chunks])
-    return _add(*map(_table_to_terms, parts))
+    rank walk."""
+    counts = [[0] * (len(toggles) + 1) for _ in range(min(nrows, ncols) + 1)]
+    for subset, r in gray_ranks(nrows, ncols, toggles):
+        counts[r][subset.bit_count()] += 1
+    return _table_to_terms(counts)
 
 
 # ---------------------------------------------------------------------------
 # Rank tables
 
 
-def bipartite_rank_size_counts(
-    b: BipartiteGraph, max_edges: int | None = None, workers: int = 1
-) -> list[list[int]]:
+def bipartite_rank_size_counts(b: BipartiteGraph, max_edges: int | None = None) -> list[list[int]]:
     """counts[r][s] = number of edge subsets of size s whose bipartite
     adjacency matrix has rank r."""
     _check_limit(b.m, max_edges)
@@ -269,13 +244,11 @@ def bipartite_rank_size_counts(
             u = tuple(i for i, v in enumerate(verts) if v in side_u)
             w = tuple(i for i, v in enumerate(verts) if v not in side_u)
             toggles = bipartite_adjacency_toggles(BipartiteGraph(sub, u, w))
-            parts.append(_walked(len(u), len(w), toggles, workers))
+            parts.append(_walked(len(u), len(w), toggles))
     return _to_counts(parts, min(len(b.side_u), len(b.side_w)) + 1, b.m)
 
 
-def graph_rank_size_counts(
-    g: Graph, max_edges: int | None = None, workers: int = 1
-) -> list[list[int]]:
+def graph_rank_size_counts(g: Graph, max_edges: int | None = None) -> list[list[int]]:
     """counts[r][s] over subsets, with r the rank of the full (symmetric,
     zero-diagonal) adjacency matrix of (V, S)."""
     _check_limit(g.m, max_edges)
@@ -284,7 +257,7 @@ def graph_rank_size_counts(
         if sub.m == sub.n - 1:
             parts.append({(2 * nu, s): c for (nu, s), c in _tree_matching_table(sub).items()})
         else:
-            parts.append(_walked(sub.n, sub.n, adjacency_toggles(sub), workers))
+            parts.append(_walked(sub.n, sub.n, adjacency_toggles(sub)))
     return _to_counts(parts, g.n + 1, g.m)
 
 
@@ -297,10 +270,9 @@ def r2_prime(
     lam: Fraction,
     mu: Fraction,
     max_edges: int | None = None,
-    workers: int = 1,
 ) -> EvalResult:
     """sum over S of lam^(bipartite rank of S) * mu^|S|."""
-    counts = bipartite_rank_size_counts(b, max_edges, workers)
+    counts = bipartite_rank_size_counts(b, max_edges)
     value = evaluate_table(counts, Fraction(lam), Fraction(mu))
     terms = _table_to_terms(counts) if b.m <= TERMS_RETENTION_LIMIT else None
     return EvalResult(value, terms)
@@ -311,10 +283,9 @@ def r2(
     lam: Fraction,
     mu: Fraction,
     max_edges: int | None = None,
-    workers: int = 1,
 ) -> EvalResult:
     """sum over S of lam^(adjacency rank of S) * mu^|S| for a general graph."""
-    counts = graph_rank_size_counts(g, max_edges, workers)
+    counts = graph_rank_size_counts(g, max_edges)
     value = evaluate_table(counts, Fraction(lam), Fraction(mu))
     terms = _table_to_terms(counts) if g.m <= TERMS_RETENTION_LIMIT else None
     return EvalResult(value, terms)
@@ -379,10 +350,10 @@ def tutte(g: Graph, x: Fraction, y: Fraction, max_edges: int | None = None) -> F
 # Counting specialisations
 
 
-def count_bis(b: BipartiteGraph, max_edges: int | None = None, workers: int = 1) -> int:
+def count_bis(b: BipartiteGraph, max_edges: int | None = None) -> int:
     """Number of independent sets of a bipartite graph, via the rank sum:
     2^(|U|+|W|-|E|) * (rank sum at lam=1/2, mu=1)."""
-    val = r2_prime(b, Fraction(1, 2), Fraction(1), max_edges, workers).value
+    val = r2_prime(b, Fraction(1, 2), Fraction(1), max_edges).value
     val *= Fraction(2) ** (b.n - b.m)
     if val.denominator != 1:
         raise ArithmeticError(f"independent-set count came out non-integer: {val}")

@@ -267,28 +267,18 @@ def toggled_profile(nrows: int, ncols: int, toggles: Toggles, subset: EdgeSubset
     return prof
 
 
-def gray_ranks(
-    nrows: int,
-    ncols: int,
-    toggles: Toggles,
-    start: int = 0,
-    stop: int | None = None,
-) -> Iterator[tuple[EdgeSubset, int]]:
-    """Yield (subset, rank) at Gray-code positions start..stop-1 over the
-    len(toggles) edges, from the zero nrows x ncols matrix.
+def gray_ranks(nrows: int, ncols: int, toggles: Toggles) -> Iterator[tuple[EdgeSubset, int]]:
+    """Yield (subset, rank) for every subset of the len(toggles) edges in
+    Gray-code order, from the zero nrows x ncols matrix.
 
     Position t is the subset t ^ (t >> 1), so consecutive subsets differ in
     edge e = the lowest set bit of t, and each step applies the updates of
-    ``toggles[e]`` to one maintained ``RankProfile``.  Chunks [a, b) and
-    [b, c) together yield exactly the walk [a, c)."""
-    stop = 1 << len(toggles) if stop is None else stop
-    if start >= stop:
-        return
-    cur = start ^ (start >> 1)
-    prof = toggled_profile(nrows, ncols, toggles, cur)
+    ``toggles[e]`` to one maintained ``RankProfile``."""
+    prof = RankProfile(zero_matrix(nrows, ncols))
     flip = prof.flip
+    cur = 0
     yield cur, prof.rank
-    for t in range(start + 1, stop):
+    for t in range(1, 1 << len(toggles)):
         e = (t & -t).bit_length() - 1
         cur ^= 1 << e
         for rows, cols in toggles[e]:

@@ -144,16 +144,28 @@ def require_bipartite(g: Graph, bip: BipartiteGraph | None) -> BipartiteGraph:
 
 
 def load_tree_decomposition(path: str | Path) -> TreeDecomposition:
-    """JSON: {"tree_edges": [[a, b], ...], "bags": [[v, ...], ...]}."""
+    """JSON: {"bags": [[v, ...], ...]} with optional "tree_edges": [[a, b], ...]."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise OSError(f"cannot read decomposition file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also overlong integers, deep nesting
         raise GraphFormatError(f"invalid JSON decomposition: {exc}") from None
-    bags = tuple(tuple(map(int, b)) for b in doc["bags"])
-    tree = Graph(len(bags), tuple((int(a), int(b)) for a, b in doc.get("tree_edges", [])))
-    return TreeDecomposition(tree, bags)
+    if not isinstance(doc, dict) or not isinstance(doc.get("bags"), list):
+        raise GraphFormatError("a tree decomposition needs a 'bags' list of vertex id lists")
+    bags = tuple(_json_ids(bag, "a bag") for bag in doc["bags"])
+    tree_edges = doc.get("tree_edges", [])
+    if not isinstance(tree_edges, list):
+        raise GraphFormatError("'tree_edges' must be a list of [a, b] pairs")
+    edges = []
+    for edge in tree_edges:
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise GraphFormatError(f"a tree edge must be an [a, b] pair, got {json.dumps(edge)}")
+        edges.append((_json_int(edge[0], "tree edge end"), _json_int(edge[1], "tree edge end")))
+    try:
+        return TreeDecomposition(Graph(len(bags), tuple(edges)), bags)
+    except ValueError as exc:  # self-loops, repeated or out-of-range tree edges
+        raise GraphFormatError(str(exc)) from None
 
 
 def parse_ordering(path: str | Path, m: int) -> list[int]:

@@ -370,11 +370,15 @@ class ExactChain:
                 break
         return curve
 
+    def trio(self) -> list[EdgeSubset]:
+        """The canonical starts {empty, full, minimum-weight}, sorted."""
+        worst = min(range(self.n_states), key=lambda s: self.weights[s])
+        return sorted({0, self.n_states - 1, worst})
+
     def default_starts(self) -> list[EdgeSubset]:
         if self.m <= FULL_START_SWEEP_LIMIT:
             return list(range(self.n_states))
-        worst = min(range(self.n_states), key=lambda s: self.weights[s])
-        return sorted({0, self.n_states - 1, worst})
+        return self.trio()
 
     def mixing_time(
         self,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import Callable
 
 from .exact import (
     _check_limit,
@@ -99,10 +100,27 @@ def crt_reconstruct(residues: list[ModP], bound: int) -> int:
     return x
 
 
-def _primes_up_to(cap: int):
-    for p in range(3, cap + 1, 2):
-        if is_prime(p):
-            yield p
+def _collect_primes(
+    witness: Callable[[int], int | None],
+    count: int,
+    prime_cap: int,
+    min_product: int | None,
+    what: str,
+) -> list[tuple[int, int]]:
+    """(p, k) for the odd primes p <= prime_cap in order whose witness(p) is
+    a k rather than None: ``count`` pairs, or, if ``min_product`` is given,
+    as many as it takes for the product of their primes to exceed it."""
+    found: list[tuple[int, int]] = []
+    prod = 1
+    for p in range(3, prime_cap + 1, 2):
+        k = witness(p) if is_prime(p) else None
+        if k is None:
+            continue
+        found.append((p, k))
+        prod *= p
+        if (len(found) >= count) if min_product is None else (prod > min_product):
+            return found
+    raise ValueError(f"not enough usable primes under {prime_cap} for {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,25 +170,10 @@ def find_gadget_params(
         raise ValueError(
             "lam = 1/2 maps to the easy Tutte curve (x-1)(y-1)=1; refusing"
         )
-    found: list[tuple[int, int]] = []
-    prod = 1
-    a, b = lam.numerator, lam.denominator
-    c, d = mu.numerator, mu.denominator
-    for p in _primes_up_to(prime_cap):
-        if (a * b * c * d) % p == 0:
-            continue
-        k = _gadget_witness(lam, mu, p)
-        if k is None:
-            continue
-        found.append((p, k))
-        prod *= p
-        if min_product is not None:
-            if prod > min_product:
-                return found
-        elif len(found) >= count:
-            return found
-    raise ValueError(
-        f"not enough usable primes under {prime_cap} for lam={lam}, mu={mu}"
+    factors = lam.numerator * lam.denominator * mu.numerator * mu.denominator
+    return _collect_primes(
+        lambda p: None if factors % p == 0 else _gadget_witness(lam, mu, p),
+        count, prime_cap, min_product, f"lam={lam}, mu={mu}",
     )
 
 
@@ -213,7 +216,6 @@ def verify_reduction_congruence(
     p: int,
     k: int,
     max_edges: int | None = None,
-    workers: int = 1,
 ) -> bool:
     """Check, by full enumeration on the stretch-sum G of h with the rooted
     gadget, that the rank sum of G equals
@@ -235,7 +237,7 @@ def verify_reduction_congruence(
             f"(p={p}, k={k}) fails the gadget congruence conditions"
         )
     g = stretch_sum(h, gadget, root)
-    lhs = r2_prime(g, lam, mu, max_edges, workers).value
+    lhs = r2_prime(g, lam, mu, max_edges).value
     n_u = len(gadget.side_u)
     rhs = (
         lam ** (h.n * n_u)
@@ -286,7 +288,6 @@ def tutte_via_oracle(
     y: Fraction,
     prime_cap: int = DEFAULT_PRIME_CAP,
     max_edges: int | None = None,
-    workers: int = 1,
 ) -> tuple[Fraction, ReductionCert]:
     """Tutte polynomial of h at (x, y) recovered purely from rank-sum
     residues on gadget stretch-sums, via (x-1)(y-1) = 1/lam - 1 and
@@ -334,7 +335,7 @@ def tutte_via_oracle(
         if not _conditions_hold(p, x_val, x_val + zm):
             raise GadgetConditionError(f"(p={p}, k={k}) failed re-verification")
         if k not in queries:
-            queries[k] = r2_prime(g, lam, mu, max_edges, workers).value
+            queries[k] = r2_prime(g, lam, mu, max_edges).value
         query = queries[k]
         n_u = len(gadget.side_u)
         # L = a^n d^(2m) lam^(-n|U|) X^(-n) * query  (mod p)
@@ -377,34 +378,24 @@ def find_pbis_params(
     if eta in (Fraction(0), Fraction(1), Fraction(-1)):
         raise ValueError("eta must avoid {0, 1, -1}")
     ratio = (1 + eta) / (1 - eta)
-    found: list[tuple[int, int]] = []
-    prod = 1
-    for p in _primes_up_to(prime_cap):
+
+    def witness(p: int) -> int | None:
         if (eta.numerator * eta.denominator) % p == 0:
-            continue
+            return None
         if (eta - 1).numerator % p == 0 or (eta + 1).numerator % p == 0:
-            continue
+            return None
         r = rational_mod_p(ratio, p).value
         r2k = (r * r) % p
         power = 1
-        k_found = None
         for k in range(1, p):
             power = (power * r2k) % p
             if power == p - 1:
-                k_found = k
-                break
+                return None if cloud_safe and k != 1 else k
             if power == 1:
-                break  # cycled without hitting -1
-        if k_found is None or (cloud_safe and k_found != 1):
-            continue
-        found.append((p, k_found))
-        prod *= p
-        if min_product is not None:
-            if prod > min_product:
-                return found
-        elif len(found) >= count:
-            return found
-    raise ValueError(f"not enough usable primes under {prime_cap} for eta={eta}")
+                return None  # cycled without hitting -1
+        return None
+
+    return _collect_primes(witness, count, prime_cap, min_product, f"eta={eta}")
 
 
 def bis_via_pbis_oracle(

@@ -83,39 +83,6 @@ class TestEval:
         assert code == 0 and err == ""
         assert out.splitlines() == [str(10**400 + 1), "~ 1e+400"]
 
-    def test_threads_do_not_change_output(self, capsys, c4):
-        base = ("eval", "r2p", "--graph", c4, "--lambda", "1/2", "--mu", "1")
-        _, out1, _ = run_cli(capsys, *base)
-        _, out2, _ = run_cli(capsys, *base, "--threads", "3")
-        assert out1 == out2
-
-
-class TestThreads:
-    @pytest.mark.parametrize("argv", [
-        ("eval", "r2p", "--lambda", "1/2", "--mu", "1", "--threads", "0"),
-        ("count", "bis", "--threads", "-2"),
-        ("reduce", "tutte", "--x", "2", "--y", "3", "--threads", "0"),
-    ])
-    def test_below_one_is_domain_error(self, capsys, c4, argv):
-        code, out, err = run_cli(capsys, *argv[:2], "--graph", c4, *argv[2:])
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1 and "--threads must be at least 1" in err
-
-    @pytest.mark.parametrize("argv", [
-        ("eval", "zrc", "--q", "2", "--mu", "1"),
-        ("eval", "tutte", "--x", "2", "--y", "3"),
-        ("count", "pbis", "--eta", "1/3"),
-        ("count", "matchings"),
-        ("count", "perfect-matchings"),
-        ("count", "is"),
-    ])
-    def test_single_process_commands_refuse_threads(self, capsys, c4, argv):
-        code, out, _ = run_cli(capsys, *argv[:2], "--graph", c4, *argv[2:])
-        assert code == 0
-        code, out, err = run_cli(capsys, *argv[:2], "--graph", c4, *argv[2:], "--threads", "2")
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1 and "--threads must be 1" in err
-
 
 class TestCount:
     def test_bis_c4(self, capsys, c4):
@@ -129,6 +96,13 @@ class TestCount:
     def test_pbis_requires_eta(self, capsys, c4):
         code, _, err = run_cli(capsys, "count", "pbis", "--graph", c4)
         assert code == 1 and "eta" in err
+
+    @pytest.mark.parametrize("limit", ["0", "1", "26"])
+    def test_is_refuses_max_edges(self, capsys, c4, limit):
+        # the branching oracle enumerates vertices, so no edge limit applies
+        code, out, err = run_cli(capsys, "count", "is", "--graph", c4, "--max-edges", limit)
+        assert code == 1 and out == ""
+        assert err == "error: count is enumerates no edge subsets; --max-edges does not apply\n"
 
 
 class TestLw:
@@ -151,6 +125,31 @@ class TestLw:
         f.write_text(json.dumps({"tree_edges": [[0, 1]], "bags": [[0, 1, 2], [0, 2, 3]]}))
         code, out, _ = run_cli(capsys, "lw", "--graph", c4, "--treedec", str(f))
         assert code == 0 and out.strip().isdigit()
+
+    def test_treedec_tree_edges_are_optional(self, capsys, tmp_path):
+        graph = tmp_path / "p4.txt"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        f = tmp_path / "td.json"
+        f.write_text(json.dumps({"bags": [[0, 1, 2, 3]]}))
+        code, out, _ = run_cli(capsys, "lw", "--graph", str(graph), "--treedec", str(f))
+        assert code == 0 and out.strip() == "1"
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ('{"tree_edges": []}', "'bags' list"),
+        ('{"bags": 5}', "'bags' list"),
+        ("[1, 2]", "'bags' list"),
+        ('{"bags": [[0, 1], [1, 2], [2, 3]], "tree_edges": [[0, 1, 2]]}', "[a, b] pair"),
+        ('{"bags": [[0, 1, true], [1, 2], [2, 3]], "tree_edges": [[0, 1], [1, 2]]}',
+         "must be a JSON integer, got true"),
+    ])
+    def test_malformed_treedec_is_one_line(self, capsys, tmp_path, doc, fragment):
+        graph = tmp_path / "p4.txt"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        f = tmp_path / "td.json"
+        f.write_text(doc)
+        code, out, err = run_cli(capsys, "lw", "--graph", str(graph), "--treedec", str(f))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and fragment in err and "Traceback" not in err
 
 
 class TestSample:
@@ -220,6 +219,15 @@ class TestMix:
         header = csv.read_text().splitlines()[0]
         assert header.startswith("step,tv_from_")
 
+    def test_csv_out_with_empirical_is_refused_before_loading(self, capsys, tmp_path):
+        csv = tmp_path / "tv.csv"
+        code, out, err = run_cli(
+            capsys, "mix", "--graph", str(tmp_path / "absent.txt"), "--family", "rws",
+            "--lambda", "1/2", "--mu", "1", "--empirical", "2000", "--csv-out", str(csv),
+        )
+        assert code == 1 and out == "" and not csv.exists()
+        assert err == "error: --empirical draws no TV curve; --csv-out needs the exact mode\n"
+
     def test_start_matrix_limit_is_one_line(self, capsys, tmp_path):
         path17 = tmp_path / "p17.txt"
         path17.write_text("".join(f"{i} {i + 1}\n" for i in range(16)))
@@ -260,6 +268,17 @@ class TestReduce:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "r2p", "--lambda", "1/2", "--mu", "1", "--threads", "1"),
+        ("count", "bis", "--threads", "2"),
+        ("reduce", "tutte", "--x", "2", "--y", "3", "--threads", "1"),
+        ("mix", "--family", "rc", "--q", "2", "--mu", "1", "--exact"),
+    ])
+    def test_removed_flags_are_usage_errors(self, capsys, c4, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--graph", c4])
+        assert exc.value.code == 2
+
     def test_unreadable_graph(self, capsys):
         code, _, err = run_cli(capsys, "count", "bis", "--graph", "/nonexistent/x.txt")
         assert code == 1 and "cannot read graph file" in err

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from rankpoly import gf2
 from rankpoly.exact import (
     EvalResult,
-    _chunk_bounds,
     biclique_gadget_closed_forms,
     bipartite_rank_size_counts,
     component_size_counts,
@@ -101,18 +100,6 @@ class TestRankSumBipartite:
             counts[r][s] = c
         for lam, mu in ((F(2), F(3)), (F(1, 3), F(-1))):
             assert evaluate_table(counts, lam, mu) == r2_prime(b, lam, mu).value
-
-    def test_parallel_workers_agree(self, rng):
-        b = random_bipartite(rng, 3, 4, 0.7)
-        seq = bipartite_rank_size_counts(b)
-        par = bipartite_rank_size_counts(b, workers=3)
-        assert seq == par
-
-    def test_parallel_workers_agree_general(self, rng):
-        from rankpoly.exact import graph_rank_size_counts
-
-        g = random_graph(rng, 5, 0.7)
-        assert graph_rank_size_counts(g) == graph_rank_size_counts(g, workers=4)
 
 
 class TestRankSumGeneral:
@@ -326,14 +313,6 @@ def test_rank_table_row_sums_are_binomials(a, b, mask):
         assert sum(row[s] for row in counts) == comb(bip.m, s)
 
 
-def test_chunk_bounds_clamp_to_cpus_and_subsets():
-    assert _chunk_bounds(16, 8, 2) == [(0, 8), (8, 16)]
-    assert _chunk_bounds(4, 10, 64) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert _chunk_bounds(10, 3, 8) == [(0, 3), (3, 6), (6, 10)]
-    assert _chunk_bounds(16, 3, None) == [(0, 16)]
-    assert _chunk_bounds(16, 1, 8) == [(0, 16)]
-
-
 # ---------------------------------------------------------------------------
 # The routed tables (component factors, tree DP, bridges) against tables built
 # subset by subset from scratch.
@@ -397,16 +376,6 @@ def test_graph_rank_table_matches_scratch(g):
 def test_component_table_matches_scratch(g):
     want = scratch_table(g, g.n + 1, lambda s: components(g, s)[0])
     assert component_size_counts(g) == want
-
-
-def test_routed_tables_agree_across_workers():
-    # two walked components (a 4-cycle, a triangle with a tail), a tree and
-    # an isolated vertex
-    g = Graph(13, ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4), (6, 7),
-                   (8, 9), (9, 10), (9, 11)))
-    assert graph_rank_size_counts(g, workers=2) == graph_rank_size_counts(g)
-    b = bipartition_of(Graph(13, g.edges[:4] + g.edges[7:] + ((4, 5), (5, 12), (12, 7), (7, 4))))
-    assert bipartite_rank_size_counts(b, workers=2) == bipartite_rank_size_counts(b)
 
 
 def test_limit_checked_on_the_whole_graph():

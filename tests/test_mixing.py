@@ -516,6 +516,12 @@ class TestExactChain:
         res = run(b, params, 120_000, seed=3, burnin=10 * tau, thin=10)
         assert empirical_tv(chain, res.samples) < 0.05
 
+    def test_trio_is_empty_full_and_lightest(self):
+        chain = ExactChain(cycle_graph(5), ChainParams(RC, F(3), F(1, 2)))
+        lightest = min(range(chain.n_states), key=lambda s: chain.weights[s])
+        assert chain.trio() == sorted({0, chain.n_states - 1, lightest})
+        assert chain.default_starts() == list(range(chain.n_states))  # m <= 12 sweeps all
+
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             ExactChain(complete_graph(7), ChainParams(RC, F(1), F(1)))

@@ -119,6 +119,17 @@ class TestFindGadgetParams:
         assert pairs[0] == (3, 1)
         assert gadget_conditions_hold(F(-1), F(-2), 3, 1)
 
+    def test_min_product_stops_once_exceeded(self):
+        # 5 * 7 = 35 does not exceed 35, so 11 is taken too
+        pairs = find_gadget_params(F(1, 3), F(-1), min_product=35)
+        assert pairs == [(5, 1), (7, 1), (11, 1)]
+
+    def test_not_enough_primes_names_the_parameters(self):
+        with pytest.raises(ValueError, match=r"not enough usable primes under 30 for lam=1/3, mu=1$"):
+            find_gadget_params(F(1, 3), F(1), count=50, prime_cap=30)
+        with pytest.raises(ValueError, match=r"not enough usable primes under 20 for eta=3$"):
+            find_pbis_params(F(3), count=10, prime_cap=20)
+
     def test_conditions_match_purity_sums(self):
         # closed-form check used by the search == enumerated gadget sums
         for (lam, mu, p, k) in ((F(1, 3), F(1), 5, 2), (F(-1), F(-2), 3, 1)):
