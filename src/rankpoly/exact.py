@@ -10,10 +10,14 @@ The tables follow the graph's structure.  A rank is additive over connected
 components (the matrix is block-diagonal), so the rank tables are
 convolutions of one table per component: a tree component takes a leaf-up
 matching DP (on a forest the GF(2) rank of S is its maximum matching, twice
-that for the symmetric adjacency), and any other component walks its 2^m_C
-subsets along a Gray code (``gf2.gray_ranks``), so that consecutive subsets
-differ in one edge and the maintained elimination state absorbs each step
-as one or two rank-1 updates.  The component count is a rank too:
+that for the symmetric adjacency).  Any other component of the bipartite
+adjacency (R2') takes a row-space DP: its rows are decided one at a time
+and the states are the distinct row spaces so far, so the cost follows
+their number, not 2^m_C.  Any other component of the symmetric adjacency
+(R2), where an edge sets two rows, walks its 2^m_C subsets along a Gray
+code (``gf2.gray_ranks``), so that consecutive subsets differ in one edge
+and the maintained elimination state absorbs each step as two rank-1
+updates.  The component count is a rank too:
 kappa(S) = n - rank of the vertex-by-edge incidence of S.  A bridge lowers
 the component count by one whenever it is present, so the component table
 is the convolution of the incidence-rank walks of the components of G
@@ -30,7 +34,6 @@ from math import comb
 from .gf2 import (
     Toggles,
     adjacency_toggles,
-    bipartite_adjacency_toggles,
     gray_ranks,
     incidence_toggles,
 )
@@ -227,6 +230,73 @@ def _walked(nrows: int, ncols: int, toggles: Toggles) -> Table:
     return _table_to_terms(counts)
 
 
+Rows = list[list[tuple[int, int]]]  # rows[i]: row i's (vector, size) candidates
+
+
+def _row_space_table(rows: Rows, last: list[int]) -> Table:
+    """The {(rank, size): count} table over the matrices that take one
+    candidate (vector, size) for each row; last[i] is the bitmask of the
+    columns that no row after row i sets.
+
+    A state is the row space of the rows decided so far, as its reduced
+    basis (pivot = lowest bit, no vector holds another's pivot), which is
+    unique; it keys a {(retired rank, size): count} table.  Once a column
+    is past its last row, the vector of highest pivot among those that hold
+    it is added to the others that hold it, which keeps the basis reduced,
+    and retires: no later row can cancel it, so it adds 1 to the rank."""
+    states: dict[tuple[int, ...], Table] = {(): {(0, 0): 1}}
+    for cands, done in zip(rows, last):
+        grown: dict[tuple[int, ...], Table] = {}
+        for basis, table in states.items():
+            for vec, size in cands:
+                for b in basis:
+                    if vec & b & -b:
+                        vec ^= b
+                if vec:
+                    low = vec & -vec
+                    key = tuple(sorted([b ^ vec if b & low else b for b in basis] + [vec]))
+                else:
+                    key = basis
+                dest = grown.setdefault(key, {})
+                for (r, s), c in table.items():
+                    dest[r, s + size] = dest.get((r, s + size), 0) + c
+        states = {}
+        for basis, table in grown.items():
+            gone, cols = 0, done
+            while cols:
+                col = cols & -cols
+                cols ^= col
+                hits = [b for b in basis if b & col]
+                if hits:
+                    v = max(hits, key=lambda b: b & -b)
+                    basis = tuple(sorted(b ^ v if b & col else b for b in basis if b != v))
+                    gone += 1
+            dest = states.setdefault(basis, {})
+            for (r, s), c in table.items():
+                dest[r + gone, s] = dest.get((r + gone, s), 0) + c
+    return _add(*(_shift(table, len(basis), 0) for basis, table in states.items()))
+
+
+def _biadjacency_rows(g: Graph, rows: list[int]) -> tuple[Rows, list[int]]:
+    """The vertices ``rows`` of g as the rows of its biadjacency against
+    the other vertices (column w is bit w): a row's candidates are the
+    subsets of its edges, and last[i] holds the columns whose last
+    neighbour among the rows is row i."""
+    inc = g.incidence()
+    cands_of: Rows = []
+    last_row: dict[int, int] = {}
+    for i, v in enumerate(rows):
+        cands = [(0, 0)]
+        for _, w in inc[v]:
+            cands += [(x | 1 << w, s + 1) for x, s in cands]
+            last_row[w] = i
+        cands_of.append(cands)
+    last = [0] * len(rows)
+    for w, i in last_row.items():
+        last[i] |= 1 << w
+    return cands_of, last
+
+
 # ---------------------------------------------------------------------------
 # Rank tables
 
@@ -241,10 +311,12 @@ def bipartite_rank_size_counts(b: BipartiteGraph, max_edges: int | None = None) 
         if sub.m == sub.n - 1:
             parts.append(_tree_matching_table(sub))
         else:
-            u = tuple(i for i, v in enumerate(verts) if v in side_u)
-            w = tuple(i for i, v in enumerate(verts) if v not in side_u)
-            toggles = bipartite_adjacency_toggles(BipartiteGraph(sub, u, w))
-            parts.append(_walked(len(u), len(w), toggles))
+            # rank(M) = rank(M^T): rows on the side of lower maximum degree
+            deg = sub.degrees()
+            u = [i for i, v in enumerate(verts) if v in side_u]
+            w = [i for i, v in enumerate(verts) if v not in side_u]
+            rows = min(u, w, key=lambda side: max(deg[i] for i in side))
+            parts.append(_row_space_table(*_biadjacency_rows(sub, rows)))
     return _to_counts(parts, min(len(b.side_u), len(b.side_w)) + 1, b.m)
 
 
@@ -471,15 +543,15 @@ def count_pbis_twins(
         g = g.graph
     eta = Fraction(eta)
     sizes, adj = _twin_classes(g)
-    work = 1
-    for s in sizes:
-        work *= s + 1
-        if work > class_budget:
-            raise LimitExceededError("too many twin-class label vectors")
     in_b = [False] * len(sizes)
     for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
         in_b[i] = not any(in_b[j] for j in adj[i])
     rest = [i for i in range(len(sizes)) if not in_b[i]]
+    work = 1
+    for i in rest:
+        work *= sizes[i] + 1
+        if work > class_budget:
+            raise LimitExceededError("too many twin-class label vectors")
     closed = [i for i in range(len(sizes)) if in_b[i]]
     pairs = [(i, j) for i in rest for j in adj[i] if j > i and not in_b[j]]
     e_rest = sum(sizes[i] * sizes[j] for i, j in pairs)

@@ -170,8 +170,14 @@ def load_tree_decomposition(path: str | Path) -> TreeDecomposition:
 
 def parse_ordering(path: str | Path, m: int) -> list[int]:
     """Whitespace-separated edge ids giving the ordering positions."""
-    text = Path(path).read_text()
-    perm = [int(t) for t in text.split()]
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise OSError(f"cannot read ordering file {path}: {exc}") from None
+    try:
+        perm = [int(t) for t in text.split()]
+    except ValueError:  # also ids past the int-to-string digit limit
+        raise GraphFormatError(f"ordering file {path} must hold edge ids only") from None
     if sorted(perm) != list(range(m)):
-        raise GraphFormatError("ordering file is not a permutation of the edge ids")
+        raise GraphFormatError(f"ordering file {path} is not a permutation of the edge ids")
     return perm

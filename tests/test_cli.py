@@ -120,6 +120,25 @@ class TestLw:
         code, out, _ = run_cli(capsys, "lw", "--graph", c4, "--ordering", f"file:{f}")
         assert code == 0 and out.strip() == "2"
 
+    @pytest.mark.parametrize("cmd", [
+        ("lw",),
+        ("mix", "--family", "rc", "--q", "2", "--mu", "1"),
+    ])
+    @pytest.mark.parametrize("text, fragment", [
+        ("a b\n", "must hold edge ids only"),
+        ("0 1.5 2 3\n", "must hold edge ids only"),
+        ("0 1 2\n", "is not a permutation of the edge ids"),
+        (None, "cannot read ordering file"),
+    ])
+    def test_bad_ordering_file_is_one_line(self, capsys, c4, tmp_path, cmd, text, fragment):
+        f = tmp_path / "ord.txt"
+        if text is not None:
+            f.write_text(text)
+        code, out, err = run_cli(capsys, cmd[0], "--graph", c4, "--ordering", f"file:{f}", *cmd[1:])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and fragment in err and str(f) in err
+        assert "Traceback" not in err and "invalid literal" not in err
+
     def test_treedec(self, capsys, c4, tmp_path):
         f = tmp_path / "td.json"
         f.write_text(json.dumps({"tree_edges": [[0, 1]], "bags": [[0, 1, 2], [0, 2, 3]]}))
@@ -265,6 +284,24 @@ class TestReduce:
         assert code == 0
         cert = json.loads(out.strip())
         assert cert["reconstructed"] == 3
+
+
+    @pytest.mark.parametrize("edges, count", [
+        ("0 1\n1 2\n2 3\n3 4\n", 13),  # P5
+        ("0 1\n1 2\n2 3\n3 0\n", 7),  # C4
+    ])
+    def test_bis_cert_past_the_twin_class_budget(self, capsys, tmp_path, edges, count):
+        # the blowups at p = 5 and 13 have many twin classes, most of them
+        # in the closed-form independent set
+        graph = tmp_path / "g.txt"
+        graph.write_text(edges)
+        code, out, err = run_cli(capsys, "reduce", "bis", "--graph", str(graph), "--eta", "7/9")
+        assert code == 0 and err == ""
+        cert = json.loads(out.strip())
+        assert cert["reconstructed"] == count
+        for p, r in zip(cert["primes"], cert["residues"]):
+            assert count % p == r
+        assert count <= cert["bound"]
 
 
 class TestErrors:
@@ -438,6 +475,22 @@ class TestGraphIo:
                 yield subset, r - (subset == 1)
 
         monkeypatch.setattr(exact, "gray_ranks", corrupted)
+        code, out, _ = run_cli(capsys, "selftest", "--quick")
+        assert code == 1
+        report = json.loads(out.splitlines()[-1])
+        assert report["structure-routes"] is False
+
+    def test_selftest_detects_broken_row_dp(self, capsys, monkeypatch):
+        from rankpoly import exact
+
+        original = exact._row_space_table
+
+        def corrupted(rows, last):
+            table = original(rows, last)
+            table[max(table)] += 1
+            return table
+
+        monkeypatch.setattr(exact, "_row_space_table", corrupted)
         code, out, _ = run_cli(capsys, "selftest", "--quick")
         assert code == 1
         report = json.loads(out.splitlines()[-1])

@@ -378,6 +378,50 @@ def test_component_table_matches_scratch(g):
     assert component_size_counts(g) == want
 
 
+# ---------------------------------------------------------------------------
+# The row-space DP behind R2' against the per-subset rank and the Gray walk
+
+
+@st.composite
+def bipartite_graphs(draw) -> BipartiteGraph:
+    """Up to 14 distinct edges between sides of 0-5 vertices each, the
+    sides interleaved among the vertex ids; sparse draws leave isolated
+    vertices and several components."""
+    a, b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    perm = draw(st.permutations(range(a + b)))
+    side_u, side_w = perm[:a], perm[a:]
+    pairs = [(u, w) for u in side_u for w in side_w]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=14, unique=True)) if pairs else []
+    return BipartiteGraph(Graph(a + b, tuple(edges)), side_u, side_w)
+
+
+def _two_c4s_and_a_vertex() -> BipartiteGraph:
+    g = Graph(9, ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)))
+    return BipartiteGraph(g, (0, 2, 4, 6, 8), (1, 3, 5, 7))
+
+
+@given(bipartite_graphs())
+@example(complete_bipartite(3, 4))
+@example(complete_bipartite(2, 7))
+@example(complete_bipartite(4, 3))
+@example(BipartiteGraph(Graph(5, ()), (0, 1, 2), (3, 4)))
+@example(BipartiteGraph(Graph(0, ()), (), ()))
+@example(_two_c4s_and_a_vertex())
+@settings(max_examples=100, deadline=None)
+def test_row_space_table_matches_per_subset_rank_and_walk(b):
+    from rankpoly.exact import _biadjacency_rows, _row_space_table, _walked
+
+    want: dict[tuple[int, int], int] = {}
+    for s in range(1 << b.m):
+        key = (gf2.rank(gf2.bipartite_adjacency(b, s)), bin(s).count("1"))
+        want[key] = want.get(key, 0) + 1
+    walked = _walked(len(b.side_u), len(b.side_w), gf2.bipartite_adjacency_toggles(b))
+    # the rows may lie on either side: rank(M) = rank(M^T)
+    on_u = _row_space_table(*_biadjacency_rows(b.graph, list(b.side_u)))
+    on_w = _row_space_table(*_biadjacency_rows(b.graph, list(b.side_w)))
+    assert on_u == on_w == walked == want
+
+
 def test_limit_checked_on_the_whole_graph():
     # 27 edges in 27 disjoint components, each trivially cheap
     g = Graph(54, tuple((2 * i, 2 * i + 1) for i in range(27)))

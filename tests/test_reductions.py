@@ -19,6 +19,7 @@ from rankpoly.graphs import (
     biclique_gadget,
     cloud_blowup,
     complete_graph,
+    cycle_graph,
     fan_gadget,
     path_graph,
 )
@@ -321,6 +322,15 @@ class TestBisPipeline:
             value, cert = bis_via_pbis_oracle(g, F(7, 9))
             assert value == count_bis_oracle(g)
             assert cert.ks == tuple(1 for _ in cert.primes)
+
+    @pytest.mark.parametrize("g, count", [(path_graph(5), 13), (cycle_graph(4), 7)])
+    def test_past_the_twin_class_budget(self, g, count):
+        # the budget counts only the twin classes that are enumerated
+        value, cert = bis_via_pbis_oracle(g, F(7, 9))
+        assert value == count == count_bis_oracle(g)
+        for p, r in zip(cert.primes, cert.residues):
+            assert cert.reconstructed % p == r
+        assert abs(cert.reconstructed) <= cert.bound
 
     def test_eta_one_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,53 @@
+"""The experiment scripts run end to end, each in its own interpreter, at
+tiny settings."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_congruence_demo_matches_through_the_row_space_dp():
+    # count the DP's calls from inside the script's interpreter
+    probe = (
+        "import runpy, sys\n"
+        "from rankpoly import exact\n"
+        "calls = []\n"
+        "original = exact._row_space_table\n"
+        "exact._row_space_table = lambda *a: calls.append(1) or original(*a)\n"
+        f"sys.argv = [{str(SCRIPTS / 'congruence_demo.py')!r}]\n"
+        "try:\n"
+        "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        "finally:\n"
+        "    print('row-space DP calls:', len(calls), file=sys.stderr)\n"
+    )
+    done = run_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert "MATCH" in done.stdout and "MISMATCH" not in done.stdout
+    calls = int(done.stderr.rsplit("row-space DP calls:", 1)[1])
+    assert calls >= 1
+
+
+@pytest.mark.parametrize("script, args", [
+    ("mixing_experiment.py", ("--sizes", "4", "--trials", "1")),
+    ("sample_independent_sets.py", ("--steps", "2000", "--burnin", "100")),
+])
+def test_script_runs(script, args):
+    done = run_python(str(SCRIPTS / script), *args)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
