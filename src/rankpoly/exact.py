@@ -7,22 +7,21 @@ small m so new parameter points can be evaluated without re-enumeration.
 0^0 = 1 throughout.
 
 The tables follow the graph's structure.  A rank is additive over connected
-components (the matrix is block-diagonal), so the rank tables are
-convolutions of one table per component: a tree component takes a leaf-up
-matching DP (on a forest the GF(2) rank of S is its maximum matching, twice
-that for the symmetric adjacency).  Any other component of the bipartite
-adjacency (R2') takes a row-space DP: its rows are decided one at a time
+components (the matrix is block-diagonal), so every table is the
+convolution of one table per component, each component renumbered in
+breadth-first order from its smallest vertex.  The component count is a
+rank too: kappa(S) = n - rank of the edge-by-vertex incidence of S.  A tree
+component takes a closed form or a leaf-up DP: on a forest the incidence
+rank of S is |S|, and the GF(2) rank of its bipartite adjacency is its
+maximum matching (twice that for the symmetric adjacency).  Any other
+component of the bipartite adjacency (R2') or of the incidence takes a
+row-space DP: its rows are decided one at a time, in breadth-first order,
 and the states are the distinct row spaces so far, so the cost follows
 their number, not 2^m_C.  Any other component of the symmetric adjacency
 (R2), where an edge sets two rows, walks its 2^m_C subsets along a Gray
 code (``gf2.gray_ranks``), so that consecutive subsets differ in one edge
 and the maintained elimination state absorbs each step as two rank-1
-updates.  The component count is a rank too:
-kappa(S) = n - rank of the vertex-by-edge incidence of S.  A bridge lowers
-the component count by one whenever it is present, so the component table
-is the convolution of the incidence-rank walks of the components of G
-minus its bridges, shifted binomially over the bridges; a forest walks
-nothing.
+updates.
 """
 
 from __future__ import annotations
@@ -31,12 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .gf2 import (
-    Toggles,
-    adjacency_toggles,
-    gray_ranks,
-    incidence_toggles,
-)
+from .gf2 import Toggles, adjacency_toggles, gray_ranks
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -99,61 +93,30 @@ def _table_to_terms(counts: list[list[int]]) -> Table:
 
 
 # ---------------------------------------------------------------------------
-# Structure: components, trees and bridges
+# Structure: components and trees
 
 
-def _edge_components(g: Graph, subset: int) -> list[tuple[list[int], Graph]]:
-    """The connected components of (V, subset) that have an edge, each as
-    (its vertices in order, itself renumbered in that order with its edges
-    in id order)."""
-    _, comps = components(g, subset)
-    where = {v: i for i, comp in enumerate(comps) for v in comp}
-    edge_ids: list[list[int]] = [[] for _ in comps]
-    for e, (u, _) in enumerate(g.edges):
-        if (subset >> e) & 1:
-            edge_ids[where[u]].append(e)
-    out = []
-    for comp, ids in zip(comps, edge_ids):
-        if ids:
-            pos = {v: i for i, v in enumerate(comp)}
-            edges = tuple((pos[g.edges[e][0]], pos[g.edges[e][1]]) for e in ids)
-            out.append((comp, Graph(len(comp), edges)))
-    return out
-
-
-def _bridges(g: Graph) -> int:
-    """Bitmask of the edges on no cycle, by one iterative lowlink DFS."""
+def _edge_components(g: Graph) -> list[tuple[list[int], Graph]]:
+    """The connected components of g that have an edge, each as (its
+    vertices in breadth-first order from its smallest vertex, itself
+    renumbered in that order with its edges in id order)."""
     inc = g.incidence()
-    disc = [0] * g.n  # discovery times from 1; 0 is unvisited
-    low = [0] * g.n
-    clock = 0
-    mask = 0
+    pos = [-1] * g.n  # place in its component's order; -1 is unvisited
+    out = []
     for root in range(g.n):
-        if disc[root] or not inc[root]:
+        if pos[root] >= 0 or not inc[root]:
             continue
-        clock += 1
-        disc[root] = low[root] = clock
-        stack = [(root, -1, iter(inc[root]))]
-        while stack:
-            v, via, it = stack[-1]
-            for e, w in it:
-                if e == via:
-                    continue
-                if disc[w]:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    stack.append((w, e, iter(inc[w])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        mask |= 1 << via
-    return mask
+        pos[root] = 0
+        order = [root]
+        for v in order:
+            for _, w in inc[v]:
+                if pos[w] < 0:
+                    pos[w] = len(order)
+                    order.append(w)
+        ids = sorted(e for v in order for e, w in inc[v] if v < w)
+        edges = tuple((pos[g.edges[e][0]], pos[g.edges[e][1]]) for e in ids)
+        out.append((order, Graph(len(order), edges)))
+    return out
 
 
 def _add(*tables: Table) -> Table:
@@ -297,6 +260,19 @@ def _biadjacency_rows(g: Graph, rows: list[int]) -> tuple[Rows, list[int]]:
     return cands_of, last
 
 
+def _incidence_rows(g: Graph) -> tuple[Rows, list[int]]:
+    """The edges of g as the rows of its edge-by-vertex incidence (column
+    v is bit v), in order of their later endpoint: a row's candidates are
+    absent (0, 0) and present (its two ends, 1), and last[i] holds the
+    vertices whose last edge is row i."""
+    edges = sorted(g.edges, key=max)
+    last_row = {v: i for i, edge in enumerate(edges) for v in edge}
+    last = [0] * len(edges)
+    for v, i in last_row.items():
+        last[i] |= 1 << v
+    return [[(0, 0), (1 << u | 1 << v, 1)] for u, v in edges], last
+
+
 # ---------------------------------------------------------------------------
 # Rank tables
 
@@ -307,7 +283,7 @@ def bipartite_rank_size_counts(b: BipartiteGraph, max_edges: int | None = None) 
     _check_limit(b.m, max_edges)
     side_u = set(b.side_u)
     parts = []
-    for verts, sub in _edge_components(b.graph, b.graph.full_subset()):
+    for verts, sub in _edge_components(b.graph):
         if sub.m == sub.n - 1:
             parts.append(_tree_matching_table(sub))
         else:
@@ -325,7 +301,7 @@ def graph_rank_size_counts(g: Graph, max_edges: int | None = None) -> list[list[
     zero-diagonal) adjacency matrix of (V, S)."""
     _check_limit(g.m, max_edges)
     parts = []
-    for _, sub in _edge_components(g, g.full_subset()):
+    for _, sub in _edge_components(g):
         if sub.m == sub.n - 1:
             parts.append({(2 * nu, s): c for (nu, s), c in _tree_matching_table(sub).items()})
         else:
@@ -370,22 +346,18 @@ def r2(
 def component_size_counts(g: Graph, max_edges: int | None = None) -> list[list[int]]:
     """counts[kappa][s] = number of subsets of size s with kappa components.
 
-    With B the bridges, kappa(S) = kappa_{G-B}(S - B) - |S & B|: each
-    component C of G - B with an edge walks the incidence rank r of its
-    subsets, kappa_C = n_C - r, every other vertex adds one component, and
-    choosing j of the bridges (C(|B|, j) ways) lowers kappa by j and raises
-    |S| by j."""
+    kappa(S) = n - r, r the rank of the incidence of S, which adds over the
+    components of G: S in a tree component has rank |S|, so C(m_C, j) of
+    its subsets lower kappa by j and raise |S| by j, and any other component
+    takes the row-space DP over its edges."""
     _check_limit(g.m, max_edges)
-    bridges = _bridges(g)
-    isolated = g.n
-    parts = []
-    for verts, sub in _edge_components(g, g.full_subset() & ~bridges):
-        ranks = _walked(sub.n, sub.m, incidence_toggles(sub))
-        parts.append({(sub.n - r, s): c for (r, s), c in ranks.items()})
-        isolated -= len(verts)
-    parts.append({(isolated, 0): 1})
-    nb = bin(bridges).count("1")
-    parts.append({(-j, j): comb(nb, j) for j in range(nb + 1)})
+    parts = [{(g.n, 0): 1}]
+    for _, sub in _edge_components(g):
+        if sub.m == sub.n - 1:
+            parts.append({(-j, j): comb(sub.m, j) for j in range(sub.m + 1)})
+        else:
+            ranks = _row_space_table(*_incidence_rows(sub))
+            parts.append({(-r, s): c for (r, s), c in ranks.items()})
     return _to_counts(parts, g.n + 1, g.m)
 
 
@@ -407,7 +379,7 @@ def tutte(g: Graph, x: Fraction, y: Fraction, max_edges: int | None = None) -> F
     (x-1)^(kappa(S)-kappa(E)) * (y-1)^(|S|-|V|+kappa(S))."""
     x, y = Fraction(x), Fraction(y)
     counts = component_size_counts(g, max_edges)
-    kappa_full, _ = components(g, g.full_subset())
+    kappa_full = next(kappa for kappa, row in enumerate(counts) if row[g.m])
     total = Fraction(0)
     xm = _powers(x - 1, g.n)
     ym = _powers(y - 1, g.m + g.n)

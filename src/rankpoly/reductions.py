@@ -395,7 +395,11 @@ def find_pbis_params(
                 return None  # cycled without hitting -1
         return None
 
-    return _collect_primes(witness, count, prime_cap, min_product, f"eta={eta}")
+    what = f"eta={eta}"
+    if cloud_safe:  # r^2 = -1 mod p for r = a/b: p divides a^2 + b^2
+        a, b = abs(ratio.numerator), ratio.denominator
+        what += f"; cloud-safe primes divide {a}^2 + {b}^2 = {a * a + b * b}"
+    return _collect_primes(witness, count, prime_cap, min_product, what)
 
 
 def bis_via_pbis_oracle(

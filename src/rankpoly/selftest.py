@@ -122,8 +122,9 @@ def check_matching_rank() -> tuple[bool, str]:
 
 def check_structure_routes() -> tuple[bool, str]:
     """The tables routed by structure (component factors, the tree matching
-    DP, the bridge shift, the R2' row-space DP, the Gray-code rank walk)
-    against a from-scratch rank and component count of every subset."""
+    DP and binomial closed form, the row-space DP over biadjacency and
+    incidence rows, the Gray-code rank walk) against a from-scratch rank
+    and component count of every subset."""
     rng = random.Random(13)
     for trial in range(40):
         t = graphs.random_tree(rng, rng.randint(2, 9))

@@ -303,6 +303,15 @@ class TestReduce:
             assert count % p == r
         assert count <= cert["bound"]
 
+    def test_bis_prime_supply_error_names_the_sum(self, capsys, tmp_path):
+        # at eta = 7/9, r = 8: only 5 and 13 divide 8^2 + 1^2, and P6 needs
+        # a product above 2 * 2^6
+        graph = tmp_path / "p6.txt"
+        graph.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n")
+        code, out, err = run_cli(capsys, "reduce", "bis", "--graph", str(graph), "--eta", "7/9")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "8^2 + 1^2 = 65" in err
+
 
 class TestErrors:
     @pytest.mark.parametrize("argv", [
@@ -566,3 +575,20 @@ def test_selftest_detects_purity_without_the_pendant(capsys, monkeypatch):
     assert code == 1
     report = json.loads(out.splitlines()[-1])
     assert report["gadget-closed-forms"] is False
+
+
+def test_selftest_detects_broken_incidence_rows(capsys, monkeypatch):
+    from rankpoly import exact
+
+    original = exact._incidence_rows
+
+    def corrupted(g):
+        # each vertex retires one row before its last edge
+        rows, last = original(g)
+        return rows, last[1:] + [0]
+
+    monkeypatch.setattr(exact, "_incidence_rows", corrupted)
+    code, out, _ = run_cli(capsys, "selftest", "--quick")
+    assert code == 1
+    report = json.loads(out.splitlines()[-1])
+    assert report["structure-routes"] is False

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -314,8 +316,9 @@ def test_rank_table_row_sums_are_binomials(a, b, mask):
 
 
 # ---------------------------------------------------------------------------
-# The routed tables (component factors, tree DP, bridges) against tables built
-# subset by subset from scratch.
+# The routed tables (component factors, the tree closed form and DP, the
+# row-space DP over adjacency or incidence rows, the Gray walk) against
+# tables built subset by subset from scratch.
 
 
 @st.composite
@@ -369,13 +372,46 @@ def test_graph_rank_table_matches_scratch(g):
     assert graph_rank_size_counts(g) == want
 
 
+def shuffled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def ladder(k: int) -> Graph:
+    """The 2 x k ladder: rails 0..k-1 and k..2k-1, rung i joins i and k+i."""
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return Graph(2 * k, tuple(rails + [(i, k + i) for i in range(k)]))
+
+
+def sun(k: int) -> Graph:
+    """C_k on 0..k-1 with a pendant k+i on each i, the pendants numbered last."""
+    return Graph(2 * k, cycle_graph(k).edges + tuple((i, k + i) for i in range(k)))
+
+
 @given(structured_graphs())
 @example(Graph(0, ()))
 @example(Graph(4, ()))
+@example(complete_graph(5))
+@example(shuffled(ladder(5), 3))
+@example(sun(5))
+@example(Graph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2))))  # two triangles at 2
+@example(Graph(5, cycle_graph(4).edges))  # C4 and an isolated vertex
 @settings(max_examples=150, deadline=None)
 def test_component_table_matches_scratch(g):
     want = scratch_table(g, g.n + 1, lambda s: components(g, s)[0])
     assert component_size_counts(g) == want
+
+
+@pytest.mark.parametrize("g, k, lead", [(cycle_graph(26), 26, 0), (sun(13), 13, 13)],
+                         ids=["C26", "sun13"])
+@pytest.mark.parametrize("x, y", [(F(2), F(3)), (F(-1, 3), F(5, 2))])
+def test_tutte_at_the_edge_limit(g, k, lead, x, y):
+    # T(C_k) = y + x + ... + x^(k-1); each pendant multiplies by x
+    assert g.m == 26
+    start = time.perf_counter()
+    assert tutte(g, x, y) == x**lead * (y + sum(x**i for i in range(1, k)))
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Byte-for-byte golden outputs of seeded ``rankpoly sample`` runs, of
-``rankpoly mix`` (TV curve CSV plus the JSON summary), and of the exact
-``eval``, ``count`` and ``reduce`` commands.
+``rankpoly mix`` (TV curve CSV plus the JSON summary), of the exact
+``eval``, ``count`` and ``reduce`` commands, of ``rankpoly lw`` and of
+``rankpoly selftest --quick``.
 
 The ``sample`` files in ``tests/golden/`` were written by the chain
 implementation that predates the shared GF(2) flip path, the ``mix`` files
@@ -8,6 +9,8 @@ by the mixing time that stepped every start separately, and the exact files
 by the tables that walked every edge subset; any change to the random
 stream, the acceptance law, the cached statistic, the transition operator,
 tau, a (statistic, size) table or a reduction certificate shows up here.
+The ``selftest`` file was written by the component tables that walked the
+incidence rank and shifted over the bridges.
 Running this file as a script rewrites them from the current code.
 """
 
@@ -94,6 +97,22 @@ EXACT_CASES = [
     ("reduce_bis_p3", ["reduce", "bis"], "p3.txt", ["--eta", "7/9"]),
 ]
 
+# (name, graph, argv after the graph file) for ``rankpoly lw``; each
+# *_td.json is a width-1 or width-2 tree decomposition of its graph, and
+# C7 has no DFS ordering (it is not a forest).
+LW_CASES = [
+    (f"lw_{g}_{tag}", f"{g}.txt", argv)
+    for g in ("tree8", "star6", "c7")
+    for tag, argv in (
+        ("natural", []),
+        ("natural_verbose", ["--verbose"]),
+        ("dfs_verbose", ["--ordering", "dfs", "--verbose"]),
+        ("treedec_verbose", ["--treedec", str(GOLDEN / f"{g}_td.json"), "--verbose"]),
+        ("optimal", ["--optimal"]),
+    )
+    if not (g == "c7" and tag.startswith("dfs"))
+]
+
 
 def cli_output(argv: list[str]) -> str:
     buf = io.StringIO()
@@ -115,6 +134,10 @@ def exact_output(words: list[str], graph: str, options: list[str]) -> str:
     return cli_output([*words, "--graph", str(GOLDEN / graph), *options])
 
 
+def lw_output(graph: str, argv: list[str]) -> str:
+    return cli_output(["lw", "--graph", str(GOLDEN / graph), *argv])
+
+
 @pytest.mark.parametrize("name,graph,argv", CASES, ids=[c[0] for c in CASES])
 def test_sample_stdout_matches_golden(name, graph, argv):
     assert sample_output(graph, argv) == (GOLDEN / f"{name}.out").read_text()
@@ -130,6 +153,15 @@ def test_exact_stdout_matches_golden(name, words, graph, options):
     assert exact_output(words, graph, options) == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name,graph,argv", LW_CASES, ids=[c[0] for c in LW_CASES])
+def test_lw_stdout_matches_golden(name, graph, argv):
+    assert lw_output(graph, argv) == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_selftest_quick_stdout_matches_golden():
+    assert cli_output(["selftest", "--quick"]) == (GOLDEN / "selftest_quick.out").read_text()
+
+
 if __name__ == "__main__":
     for name, graph, argv in CASES:
         (GOLDEN / f"{name}.out").write_text(sample_output(graph, argv))
@@ -140,3 +172,7 @@ if __name__ == "__main__":
     for name, words, graph, options in EXACT_CASES:
         (GOLDEN / f"{name}.out").write_text(exact_output(words, graph, options))
         print(name, file=sys.stderr)
+    for name, graph, argv in LW_CASES:
+        (GOLDEN / f"{name}.out").write_text(lw_output(graph, argv))
+        print(name, file=sys.stderr)
+    (GOLDEN / "selftest_quick.out").write_text(cli_output(["selftest", "--quick"]))
