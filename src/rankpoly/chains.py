@@ -8,12 +8,19 @@ for the rank-weighted chain the |U| x |W| bipartite adjacency (u, v the
 unit vectors of e's ends), for the random-cluster chain the n x m incidence
 (u the two ends of e, v the unit vector of column e), where
 kappa(S) = n - rank.  So the weight ratio of a toggle is
-base^(d rank) * mu^(+-1), with base lam for rws and 1/q for rc.  A step
-reads d rank with the read-only ``RankProfile.delta_if_flip`` and applies
-the update only when the toggle is accepted.  Since d rank is -1, 0 or 1,
-the six acceptance probabilities are precomputed per parameter set as
-reduced integer fractions num/den and tested with ``randrange(den) < num``,
-the exact draw ``bernoulli`` makes, so a seeded run is bit-reproducible.
+base^(d rank) * mu^(+-1), with base lam for rws and 1/q for rc.  Since
+d rank is -1, 0 or 1, the six acceptance probabilities are precomputed per
+parameter set as reduced integer fractions num/den and tested with
+``randrange(den) < num``, the exact draw ``bernoulli`` makes, so a seeded
+run is bit-reproducible.
+
+A step draws the edge, then the first word of the acceptance draw, and
+only then reads d rank: when the word gives the same verdict for all three
+values of d (``ChainParams.gates``), the step needs no rank probe at all.
+Otherwise it reads d rank with the read-only ``RankProfile.delta_if_flip``
+and finishes the draw from the word (``SplitMix64.randrange_from``).  The
+update is applied only when the toggle is accepted, and the words drawn are
+exactly those of probing first.
 """
 
 from __future__ import annotations
@@ -47,13 +54,23 @@ class ChainParams:
     ``base`` the weight of one unit of its rank (lam, or 1/q).
     ``accept[d + 1][adding]`` is the reduced (num, den) of the acceptance
     probability of a toggle that changes the rank by d and adds (1) or
-    removes (0) an edge."""
+    removes (0) an edge.
+
+    ``gates[adding]`` = (lo, hi, top) decides a toggle from the first word
+    x of ``randrange(den)`` without knowing d.  With k = bit_length(den - 1)
+    and s = 64 - k, the word accepts below num << s and is a valid first
+    try below den << s; lo and hi are the least and greatest acceptance
+    cut over d, and top the least validity cut.  So x < lo accepts for
+    every d, hi <= x < top rejects for every d, and any other word needs
+    d.  A direction whose draw may take more than one word (k > 64 for
+    some d) gets (0, 0, 0), which decides nothing."""
 
     family: str
     lam: Fraction  # lam for rws, q for rc
     mu: Fraction
     base: Fraction = field(init=False, repr=False, compare=False)
     accept: tuple = field(init=False, repr=False, compare=False)
+    gates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in (RWS, RC):
@@ -72,6 +89,8 @@ class ChainParams:
                 row.append((p.numerator, p.denominator))
             table.append(tuple(row))
         object.__setattr__(self, "accept", tuple(table))
+        gates = tuple(_gate([row[adding] for row in table]) for adding in (0, 1))
+        object.__setattr__(self, "gates", gates)
 
     def encode(self, g: Graph | BipartiteGraph) -> tuple[Graph, int, int, Toggles]:
         """(graph, nrows, ncols, toggles) of the tracked matrix: the
@@ -85,13 +104,23 @@ class ChainParams:
         return graph, graph.n, graph.m, incidence_toggles(graph)
 
 
+def _gate(fractions: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """(lo, hi, top) of ``ChainParams.gates`` for one direction's (num, den)."""
+    shifts = [64 - (den - 1).bit_length() for _, den in fractions]
+    if min(shifts) < 0:
+        return (0, 0, 0)
+    cuts = [num << s for (num, _), s in zip(fractions, shifts)]
+    return (min(cuts), max(cuts), min(den << s for (_, den), s in zip(fractions, shifts)))
+
+
 class ChainState:
     """Single-owner mutable state: current subset plus a ``RankProfile`` of
     the matrix ``ChainParams.encode`` gives for it.
 
     ``toggles[e]`` is the (rows, cols) bitmask pair of the rank-1 update
-    that toggles edge e.  A step probes the rank change first and mutates
-    the profile and the subset only when the toggle is accepted."""
+    that toggles edge e.  A step probes the rank change only when the
+    acceptance word cannot decide alone, and mutates the profile and the
+    subset only when the toggle is accepted."""
 
     def __init__(self, g: Graph | BipartiteGraph, params: ChainParams, subset: EdgeSubset = 0):
         self.params = params
@@ -123,16 +152,34 @@ class ChainState:
         return -self.profile.delta_if_flip(*self.toggles[e])
 
     def step(self, rng: SplitMix64) -> None:
-        e = rng.randrange(self.m)
-        bit = 1 << e
-        rows, cols = self.toggles[e]
-        d = self.profile.delta_if_flip(rows, cols)
-        num, den = self.params.accept[d + 1][not self.subset & bit]
-        if rng.randrange(den) < num:
-            self.profile.flip(rows, cols)
-            self.subset ^= bit
-            self.accepts += 1
-        self.steps += 1
+        self.advance(rng, 1)
+
+    def advance(self, rng: SplitMix64, count: int) -> None:
+        """Take ``count`` steps."""
+        m, toggles, accept, gates = self.m, self.toggles, self.params.accept, self.params.gates
+        delta_if_flip, flip = self.profile.delta_if_flip, self.profile.flip
+        randrange, next_u64, randrange_from = rng.randrange, rng.next_u64, rng.randrange_from
+        subset, accepts = self.subset, 0
+        for _ in range(count):
+            e = randrange(m)
+            bit = 1 << e
+            adding = not subset & bit
+            x = next_u64()
+            lo, hi, top = gates[adding]
+            if x < lo:
+                ok = True
+            elif hi <= x < top:
+                ok = False
+            else:
+                num, den = accept[delta_if_flip(*toggles[e]) + 1][adding]
+                ok = randrange_from(den, x) < num
+            if ok:
+                flip(*toggles[e])
+                subset ^= bit
+                accepts += 1
+        self.subset = subset
+        self.accepts += accepts
+        self.steps += count
 
 
 @dataclass
@@ -163,13 +210,23 @@ def run(
             raise ValueError(f"{name} must be nonnegative, got {value}")
     state = ChainState(g, params, initial)
     rng = SplitMix64(seed)
+
+    def advance(count: int) -> None:
+        if not debug_check:
+            state.advance(rng, count)
+            return
+        for _ in range(count):
+            state.advance(rng, 1)
+            if state.statistic != state.statistic_from_scratch():
+                raise AssertionError(f"cached statistic diverged at step {state.steps - 1}")
+
     samples: list[EdgeSubset] = []
-    for t in range(steps):
-        state.step(rng)
-        if debug_check and state.statistic != state.statistic_from_scratch():
-            raise AssertionError(f"cached statistic diverged at step {t}")
-        if thin > 0 and t >= burnin and (t - burnin) % thin == thin - 1:
-            samples.append(state.subset)
+    done = 0
+    for mark in range(burnin + thin, steps + 1, thin) if thin > 0 else ():
+        advance(mark - done)
+        samples.append(state.subset)
+        done = mark
+    advance(steps - done)
     rate = state.accepts / state.steps if state.steps else 0.0
     return RunResult(state, samples, rate)
 

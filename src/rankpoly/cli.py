@@ -154,9 +154,22 @@ def _resolve_ordering(g: graphs.Graph, spec: str) -> mixing.EdgeOrdering:
     raise ValueError(f"unknown ordering {spec!r}")
 
 
+def _weight(args, what: str, takes_q: bool) -> Fraction | None:
+    """--lambda, or --q where ``what`` takes a component weight (--lambda
+    is then its alias); a --q that would go unused, or both flags, is an
+    error."""
+    if args.q is None:
+        return args.lam
+    if not takes_q:
+        raise ValueError(f"{what} takes --lambda, not --q")
+    if args.lam is not None:
+        raise ValueError(f"{what} takes --q or its alias --lambda, not both")
+    return args.q
+
+
 def _chain_setup(args, g: graphs.Graph, bip: graphs.BipartiteGraph | None):
     """(ChainParams, target graph) of --family, --lambda or --q, and --mu."""
-    weight = args.lam if args.lam is not None else args.q
+    weight = _weight(args, args.family, args.family == RC)
     if weight is None:
         raise ValueError("need --lambda (or --q)")
     params = ChainParams(args.family, weight, args.mu)
@@ -166,18 +179,17 @@ def _chain_setup(args, g: graphs.Graph, bip: graphs.BipartiteGraph | None):
 def _cmd_eval(args) -> int:
     exact._check_limit(0, args.max_edges)  # refuses a negative --max-edges
     g, bip = graphio.load_graph(args.graph, args.format)
-    if args.poly == "r2p":
-        if args.lam is None or args.mu is None:
-            raise ValueError("r2p needs --lambda and --mu")
-        b = graphio.require_bipartite(g, bip)
-        res = exact.r2_prime(b, args.lam, args.mu, args.max_edges)
+    if args.poly in ("r2p", "r2"):
+        lam = _weight(args, args.poly, False)
+        if lam is None or args.mu is None:
+            raise ValueError(f"{args.poly} needs --lambda and --mu")
+        if args.poly == "r2p":
+            res = exact.r2_prime(graphio.require_bipartite(g, bip), lam, args.mu, args.max_edges)
+        else:
+            res = exact.r2(g, lam, args.mu, args.max_edges)
         _print_value(res.value)
-    elif args.poly == "r2":
-        if args.lam is None or args.mu is None:
-            raise ValueError("r2 needs --lambda and --mu")
-        _print_value(exact.r2(g, args.lam, args.mu, args.max_edges).value)
     elif args.poly == "zrc":
-        q = args.q if args.q is not None else args.lam
+        q = _weight(args, "zrc", True)
         if q is None or args.mu is None:
             raise ValueError("zrc needs --q and --mu")
         _print_value(exact.random_cluster(g, q, args.mu, args.max_edges).value)

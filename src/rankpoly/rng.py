@@ -7,8 +7,9 @@ the parent and seeds the child with that output xor a fixed constant, so
 parent and child streams are decorrelated and both remain reproducible.
 
 Bounded draws use rejection on the top bits (never a modulus), so they are
-exactly uniform, and ``bernoulli`` compares an exact-rational probability
-against a uniform integer, so acceptance tests never round.
+exactly uniform; ``randrange_from`` finishes a draw whose first word the
+caller has already taken.  ``bernoulli`` compares an exact-rational
+probability against a uniform integer, so acceptance tests never round.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ class SplitMix64:
         return SplitMix64(self.next_u64() ^ _SPLIT_XOR)
 
     def randbits(self, k: int) -> int:
-        out = 0
-        got = 0
+        return self._bits(0, 0, k)
+
+    def _bits(self, out: int, got: int, k: int) -> int:
+        """The top k bits of ``out`` (``got`` bits long) followed by fresh words."""
         while got < k:
             out = (out << 64) | self.next_u64()
             got += 64
@@ -46,19 +49,25 @@ class SplitMix64:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
         if n <= 0:
             raise ValueError("empty range")
-        k = (n - 1).bit_length()
-        if k == 0:
+        if n == 1:
             return 0
+        return self.randrange_from(n, self.next_u64())
+
+    def randrange_from(self, n: int, word: int) -> int:
+        """The value ``randrange(n)`` returns, for n >= 2, when its first
+        ``next_u64()`` gives ``word``: a caller that has drawn the word
+        already may decide from it alone when its first try is valid."""
+        k = (n - 1).bit_length()
         if k <= 64:  # one word per try, the value randbits(k) would give
             shift = 64 - k
-            while True:
+            v = word >> shift
+            while v >= n:
                 v = self.next_u64() >> shift
-                if v < n:
-                    return v
-        while True:
+            return v
+        v = self._bits(word, 64, k)
+        while v >= n:
             v = self.randbits(k)
-            if v < n:
-                return v
+        return v
 
     def bernoulli(self, p: Fraction) -> bool:
         """True with probability exactly p (0 <= p <= 1)."""

@@ -208,6 +208,106 @@ class TestRun:
         assert rejected > 100
 
 
+class FirstWord(SplitMix64):
+    """A generator whose first ``next_u64()`` gives ``word``."""
+
+    def __init__(self, word, seed=0):
+        super().__init__(seed)
+        self.word = word
+
+    def next_u64(self):
+        if self.word is None:
+            return super().next_u64()
+        word, self.word = self.word, None
+        return word
+
+
+HUGE = 2**70 + 1
+
+
+class TestGates:
+    """A word the gate decides gets the verdict randrange(den) < num gives
+    for every rank change d."""
+
+    GRID = [
+        (family, lam, mu)
+        for family in (RWS, RC)
+        for lam, mu in ((F(1, 2), F(1)), (F(2), F(1)), (F(3), F(2, 7)), (F(1, 2), F(1, HUGE)),
+                        (F(3), F(HUGE, 2)), (F(5, 3), F(7, 11)), (F(2**63 + 1, 3), F(1)), (F(1), F(1)))
+    ]
+
+    @staticmethod
+    def words(fractions, gate):
+        cuts = {0, 2**64 - 1, *gate}
+        for num, den in fractions:
+            s = 64 - (den - 1).bit_length()
+            if s >= 0:
+                cuts |= {num << s, den << s}
+        return sorted({w + o for w in cuts for o in (-1, 0, 1) if 0 <= w + o < 2**64})
+
+    @pytest.mark.parametrize("family,lam,mu", GRID)
+    def test_gate_verdict_is_the_draw(self, family, lam, mu):
+        params = ChainParams(family, lam, mu)
+        for adding in (0, 1):
+            fractions = [row[adding] for row in params.accept]
+            lo, hi, top = params.gates[adding]
+            if max(den for _, den in fractions) > 2**64:
+                assert (lo, hi, top) == (0, 0, 0)
+            for x in self.words(fractions, (lo, hi, top)):
+                verdict = True if x < lo else False if hi <= x < top else None
+                for num, den in fractions:
+                    draw = FirstWord(x, seed=x % 997).randrange(den) < num
+                    assert verdict in (None, draw), (adding, x, num, den)
+
+    def test_gates_at_the_bis_point(self):
+        # acceptance 1/2, 1/2, 1/4 when adding: the word decides 3 steps in 4
+        params = ChainParams(RWS, F(1, 2), F(1))
+        assert params.gates[1] == (2**62, 2**63, 2**64)
+
+    def test_gates_for_draws_past_one_word(self):
+        # adding at d = 1 accepts with 1/(4 (2^70 + 1)); every removal with 1/2
+        params = ChainParams(RWS, F(1, 2), F(1, HUGE))
+        assert params.gates == ((2**63, 2**63, 2**64), (0, 0, 0))
+
+
+def stepped(g, params, steps, seed, initial, burnin, thin):
+    """Samples, final state and accepts of ``run`` by one ``step`` at a time,
+    with the statistic checked after every step."""
+    state = ChainState(g, params, initial)
+    gen = SplitMix64(seed)
+    samples = []
+    for t in range(steps):
+        state.step(gen)
+        assert state.statistic == state.statistic_from_scratch()
+        if thin > 0 and t >= burnin and (t - burnin) % thin == thin - 1:
+            samples.append(state.subset)
+    return samples, state.subset, state.accepts, state.steps
+
+
+class TestRunSchedule:
+    SCHEDULES = [(0, 0, 0), (0, 5, 3), (120, 0, 0), (120, 0, 1), (120, 10, 7), (50, 0, 60),
+                 (50, 50, 5), (50, 80, 3), (97, 3, 47), (100, 0, 100), (100, 1, 99)]
+
+    @pytest.mark.parametrize("debug_check", [False, True])
+    @pytest.mark.parametrize("steps,burnin,thin", SCHEDULES)
+    def test_run_equals_single_steps(self, steps, burnin, thin, debug_check, rng):
+        for family, lam, mu in ((RWS, F(1, 2), F(1)), (RC, F(3), F(HUGE, 2)), (RWS, F(3), F(2, 7))):
+            b = random_bipartite(rng, 3, 3, 0.7)
+            if b.m == 0:
+                continue
+            g = b if family == RWS else b.graph
+            params = ChainParams(family, lam, mu)
+            initial, seed = rng.randrange(1 << b.m), rng.randrange(1 << 32)
+            res = run(g, params, steps, seed, initial, burnin, thin, debug_check)
+            got = (res.samples, res.final.subset, res.final.accepts, res.final.steps)
+            assert got == stepped(g, params, steps, seed, initial, burnin, thin)
+
+    def test_debug_check_names_the_first_bad_step(self, monkeypatch):
+        monkeypatch.setattr(ChainState, "statistic_from_scratch", lambda self: self.statistic + (self.steps == 37))
+        with pytest.raises(AssertionError, match="diverged at step 36"):
+            run(cycle_graph(5), ChainParams(RC, F(2), F(1)), 100, seed=1, thin=10, debug_check=True)
+
+
 class TestRcEmpiricalDistribution:
     def test_triangle_q2_long_run_tv(self):
         g = complete_graph(3)

@@ -325,6 +325,30 @@ class TestErrors:
             main([*argv, "--graph", c4])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (("sample", "rc", "--q", "2", "--lambda", "3", "--mu", "1", "--steps", "10"),
+         "rc takes --q or its alias --lambda, not both"),
+        (("eval", "zrc", "--q", "2", "--lambda", "3", "--mu", "1"),
+         "zrc takes --q or its alias --lambda, not both"),
+        (("mix", "--family", "rc", "--q", "2", "--lambda", "3", "--mu", "1"),
+         "rc takes --q or its alias --lambda, not both"),
+        (("sample", "rws", "--lambda", "1/2", "--q", "3", "--mu", "1", "--steps", "10"),
+         "rws takes --lambda, not --q"),
+        (("mix", "--family", "rws", "--lambda", "1/2", "--q", "3", "--mu", "1"),
+         "rws takes --lambda, not --q"),
+        (("eval", "r2", "--lambda", "2", "--q", "5", "--mu", "1"), "r2 takes --lambda, not --q"),
+        (("eval", "r2p", "--lambda", "2", "--q", "5", "--mu", "1"), "r2p takes --lambda, not --q"),
+    ])
+    def test_unused_or_doubled_weight_flag_is_one_line(self, capsys, c4, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--graph", c4)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_lambda_is_the_q_alias(self, capsys, k2):
+        _, by_q, _ = run_cli(capsys, "eval", "zrc", "--graph", k2, "--q", "3", "--mu", "1")
+        _, by_lambda, _ = run_cli(capsys, "eval", "zrc", "--graph", k2, "--lambda", "3", "--mu", "1")
+        assert by_q == by_lambda == "12\n~ 12\n"
+
     def test_unreadable_graph(self, capsys):
         code, _, err = run_cli(capsys, "count", "bis", "--graph", "/nonexistent/x.txt")
         assert code == 1 and "cannot read graph file" in err

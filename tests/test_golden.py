@@ -10,7 +10,9 @@ by the tables that walked every edge subset; any change to the random
 stream, the acceptance law, the cached statistic, the transition operator,
 tau, a (statistic, size) table or a reduction certificate shows up here.
 The ``selftest`` file was written by the component tables that walked the
-incidence rank and shifted over the bridges.
+incidence rank and shifted over the bridges, and the two ``sample`` files
+whose acceptance denominators pass 2^64 by the step that read the rank
+change before its acceptance draw.
 Running this file as a script rewrites them from the current code.
 """
 
@@ -46,6 +48,11 @@ CASES = [
                             "--seed", "23", "--burnin", "200", "--thin", "31", "--initial", "full"]),
     ("rc_c7_half", "c7.txt", ["rc", "--q", "1/2", "--mu", "1", "--steps", "2000",
                               "--seed", "24", "--thin", "47"]),
+    # acceptance denominators past 2^64: a draw takes more than one word
+    ("rws_c8_tiny_mu", "c8.txt", ["rws", "--lambda", "1/2", "--mu", "1/1180591620717411303425",
+                                  "--steps", "3000", "--seed", "11", "--thin", "300", "--initial", "full"]),
+    ("rc_c7_huge_mu", "c7.txt", ["rc", "--q", "3", "--mu", "1180591620717411303425/2",
+                                 "--steps", "3000", "--seed", "12", "--burnin", "150", "--thin", "300"]),
 ]
 
 # (name, graph, argv after the graph file) for ``rankpoly mix``; star6 and
