@@ -100,12 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="'auto' (dfs on forests, else natural), 'dfs', 'natural', or 'file:PATH'",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="chain seed for --empirical (default 0)")
     p.add_argument(
         "--starts",
-        default="policy",
         choices=["policy", "trio", "all"],
-        help="start states for tau: 'policy' sweeps all when m <= 12",
+        help="start states for tau (default 'policy', which sweeps all when m <= 12)",
     )
     p.add_argument("--csv-out", default=None, help="write the TV curve CSV here instead of stdout")
 
@@ -167,6 +166,14 @@ def _weight(args, what: str, takes_q: bool) -> Fraction | None:
     return args.q
 
 
+def _refuse_unused(what: str, *flags: tuple[str, object]) -> None:
+    """A (flag, value) that ``what`` does not read, given anyway, is an
+    error: it would change no output."""
+    for flag, value in flags:
+        if value is not None:
+            raise ValueError(f"{what} does not take {flag}")
+
+
 def _chain_setup(args, g: graphs.Graph, bip: graphs.BipartiteGraph | None):
     """(ChainParams, target graph) of --family, --lambda or --q, and --mu."""
     weight = _weight(args, args.family, args.family == RC)
@@ -178,6 +185,10 @@ def _chain_setup(args, g: graphs.Graph, bip: graphs.BipartiteGraph | None):
 
 def _cmd_eval(args) -> int:
     exact._check_limit(0, args.max_edges)  # refuses a negative --max-edges
+    if args.poly == "tutte":
+        _refuse_unused("tutte", ("--lambda", args.lam), ("--q", args.q), ("--mu", args.mu))
+    else:
+        _refuse_unused(args.poly, ("--x", args.x), ("--y", args.y))
     g, bip = graphio.load_graph(args.graph, args.format)
     if args.poly in ("r2p", "r2"):
         lam = _weight(args, args.poly, False)
@@ -223,6 +234,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.burnin > 0 and args.thin == 0:
+        raise ValueError("--burnin only delays recording; it needs --thin")
     g, bip = graphio.load_graph(args.graph, args.format)
     params, target = _chain_setup(args, g, bip)
     if args.initial == "empty":
@@ -254,6 +267,10 @@ def _cmd_mix(args) -> int:
         raise ValueError(f"eps must lie strictly between 0 and 1, got {args.eps}")
     if args.empirical is not None and args.csv_out:
         raise ValueError("--empirical draws no TV curve; --csv-out needs the exact mode")
+    if args.empirical is None:
+        _refuse_unused("mix without --empirical", ("--seed", args.seed))
+    else:
+        _refuse_unused("mix --empirical", ("--starts", args.starts))
     from . import mixing
 
     g, bip = graphio.load_graph(args.graph, args.format)
@@ -263,7 +280,8 @@ def _cmd_mix(args) -> int:
 
     tau = tv = None
     if args.empirical is not None:
-        result = chains.run(target, params, args.empirical, args.seed, 0, 0, max(1, args.empirical // 10_000))
+        seed = 0 if args.seed is None else args.seed
+        result = chains.run(target, params, args.empirical, seed, 0, 0, max(1, args.empirical // 10_000))
         tv = mixing.empirical_tv(chain, result.samples) if result.samples else 1.0
     else:
         trio = chain.trio()
@@ -287,7 +305,7 @@ def _cmd_mix(args) -> int:
 
     ell = ordering.width
     if g.m <= mixing.CONGESTION_LIMIT:
-        rho = mixing.congestion(target, ordering, params).rho
+        rho = chain.congestion(ordering).rho  # the states tau walked, not a second walk
     else:
         rho = mixing.congestion_bound(g, params, ell)
     bound = mixing.mixing_bound_from_congestion(rho, chain.pi_min(), args.eps)

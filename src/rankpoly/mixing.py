@@ -5,6 +5,11 @@ are kept as exact (scaled) integers so congestion and detailed balance are
 exact rationals; only total-variation curves run in float64 (numpy pairwise
 summation keeps the accumulated error around 1e-12, orders of magnitude
 below any tolerance used on top of it).
+
+Work over the states runs on whole arrays indexed by state: congestion
+tables are numpy arrays of Python ints (dtype object, so every sum and
+product stays exact), and the transition operator is stored beside its
+transpose, which is what each float step multiplies.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .chains import ChainParams
 from .gf2 import gray_ranks
@@ -242,6 +247,7 @@ class ExactChain:
         ]
         self.total_weight = sum(self.weights)
         self._sparse = None
+        self._sparse_t = None
         self._orbits = None
         self._pi_float = None
 
@@ -287,7 +293,9 @@ class ExactChain:
     def pi_float(self) -> np.ndarray:
         """pi as correctly rounded floats; computed once, read-only."""
         if self._pi_float is None:
-            pi = np.array([float(Fraction(x, self.total_weight)) for x in self.weights])
+            # int true division is correctly rounded, as float(Fraction) is
+            z = self.total_weight
+            pi = np.array([x / z for x in self.weights])
             pi.flags.writeable = False
             self._pi_float = pi
         return self._pi_float
@@ -297,7 +305,8 @@ class ExactChain:
         (num, den) for the toggle's rank change and direction: the float
         num / (den m) is the correctly rounded min(w_h, w_h') / (2 m w_h).
         The holding mass 1 - sum_e P(h, h ^ 2^e) is subtracted in edge
-        order."""
+        order.  The transpose is kept beside P: a step dist -> dist P is
+        computed as P^T dist, the kernel ``dist @ P`` itself reaches."""
         if self._sparse is None:
             n, m = self.n_states, self.m
             states = np.arange(n)
@@ -315,6 +324,7 @@ class ExactChain:
             cols = np.concatenate([moves.ravel(), states])
             vals = np.concatenate([probs.ravel(), stay])
             self._sparse = csr_matrix((vals, (rows, cols)), shape=(n, n))
+            self._sparse_t = self._sparse.T
         return self._sparse
 
     def orbit_labels(self) -> np.ndarray:
@@ -358,13 +368,14 @@ class ExactChain:
     ) -> list[float]:
         """Total-variation distance to stationarity after 0..t steps from a
         point start, stopping when <= eps (if given) or at tmax."""
-        p = self.sparse_transition()
+        self.sparse_transition()
+        pt = self._sparse_t
         pi = self.pi_float()
         dist = np.zeros(self.n_states)
         dist[start] = 1.0
         curve = [0.5 * float(np.abs(dist - pi).sum())]
         while len(curve) <= tmax:
-            dist = dist @ p
+            dist = pt @ dist
             curve.append(0.5 * float(np.abs(dist - pi).sum()))
             if eps is not None and curve[-1] <= eps:
                 break
@@ -407,13 +418,13 @@ class ExactChain:
                 f"tau over {len(reps)} start orbits of {self.n_states} states exceeds "
                 f"the {START_MATRIX_LIMIT}-entry start matrix limit"
             )
-        p = self.sparse_transition()
+        self.sparse_transition()
         pi = self.pi_float()
         blocks = (reps[i : i + rows] for i in range(0, len(reps), rows))
-        return max((self._block_mixing_time(p, pi, b, eps, tmax) for b in blocks), default=0)
+        return max((self._block_mixing_time(self._sparse_t, pi, b, eps, tmax) for b in blocks), default=0)
 
     def _block_mixing_time(
-        self, p: csr_matrix, pi: np.ndarray, starts: np.ndarray, eps: float, tmax: int
+        self, pt: csc_matrix, pi: np.ndarray, starts: np.ndarray, eps: float, tmax: int
     ) -> int:
         dists = np.zeros((len(starts), self.n_states))
         dists[np.arange(len(starts)), starts] = 1.0
@@ -426,8 +437,54 @@ class ExactChain:
                 return t
             if t >= tmax:
                 raise RuntimeError(f"no mixing within {tmax} steps")
-            dists = dists @ p
+            dists = (pt @ dists.T).T
             t += 1
+
+    # -- congestion -----------------------------------------------------------
+
+    def congestion(
+        self, ordering: EdgeOrdering, max_edges: int = CONGESTION_LIMIT
+    ) -> CongestionResult:
+        """Exact maximum congestion over all transitions for the canonical-
+        path family built on ``ordering``.
+
+        For the transition toggling the edge at ordering position t, the
+        loading pairs (I, F) factor as I = H xor (any subset of earlier
+        positions) and F = H' xor (any subset of later positions), so the sum
+        over all 4^m pairs streams by transition.  Prefix and suffix tables
+        over the 2^m states are folded one position at a time; each table is
+        a numpy array of Python ints, so every fold, product and comparison
+        is exact.  The maximum over a cut is found by ``_first_max_ratio``,
+        and the first maximum in (position, state) order is kept."""
+        _check_congestion_limit(self.m, max_edges)
+        m, n, perm = self.m, self.n_states, ordering.perm
+        wt = np.array(self.weights, dtype=object)
+        zero = np.zeros(n, dtype=object)
+
+        # suffix tables over subsets of positions > t, one pair per cut
+        suffix = [(wt, zero)]
+        for t in range(m - 2, -1, -1):
+            suffix.append(_fold(*suffix[-1], perm[t + 1]))
+        suffix.reverse()
+
+        # rho of a transition is 2 m num / (z min(w_h, w_h')); candidates
+        # compare as num / min(w_h, w_h') by cross-multiplication
+        best_num, best_den = -1, 1
+        best_pair = (0, 0)
+        s1, s1k = wt, zero
+        for t, e in enumerate(perm):
+            suf, sufk = suffix[t]
+            num = s1k * _flip(suf, e) + s1 * _flip(sufk + suf, e)
+            den = np.minimum(wt, _flip(wt, e))
+            h = _first_max_ratio(num, den)
+            if num[h] * best_den > best_num * den[h]:
+                best_num, best_den = num[h], den[h]
+                best_pair = (h, h ^ (1 << e))
+            if t + 1 < m:
+                s1, s1k = _fold(s1, s1k, e)
+
+        rho = Fraction(2 * m * best_num, self.total_weight * best_den)
+        return CongestionResult(rho, best_pair, ordering.width)
 
 
 def empirical_tv(
@@ -458,68 +515,48 @@ def congestion(
     params: ChainParams,
     max_edges: int = CONGESTION_LIMIT,
 ) -> CongestionResult:
-    """Exact maximum congestion over all transitions for the canonical-path
-    family built on ``ordering``.
-
-    For the transition toggling the edge at ordering position t, the loading
-    pairs (I, F) factor as I = H xor (any subset of earlier positions) and
-    F = H' xor (any subset of later positions), so the sum over all 4^m
-    pairs streams by transition with prefix/suffix tables updated in
-    O(m 2^m) exact-integer operations total.
-    """
+    """Exact maximum congestion of the canonical-path family built on
+    ``ordering``: ``ExactChain.congestion`` on a chain built for it."""
     graph = g.graph if isinstance(g, BipartiteGraph) else g
-    if graph.m > max_edges:
+    _check_congestion_limit(graph.m, max_edges)
+    return ExactChain(g, params, max_edges).congestion(ordering, max_edges)
+
+
+def _check_congestion_limit(m: int, max_edges: int) -> None:
+    if m > max_edges:
         raise LimitExceededError(
-            f"congestion enumeration limited to {max_edges} edges, got {graph.m}"
+            f"congestion enumeration limited to {max_edges} edges, got {m}"
         )
-    chain = ExactChain(g, params, max_edges)
-    wt = chain.weights
-    z = chain.total_weight
-    m = graph.m
-    n = chain.n_states
-    perm = ordering.perm
 
-    # suffix sums over subsets of positions > t, snapshot per cut
-    s2_snap: dict[int, list[int]] = {m - 1: list(wt)}
-    s2k_snap: dict[int, list[int]] = {m - 1: [0] * n}
-    for t in range(m - 2, -1, -1):
-        bit = 1 << perm[t + 1]
-        prev, prevk = s2_snap[t + 1], s2k_snap[t + 1]
-        cur = [0] * n
-        curk = [0] * n
-        for h in range(n):
-            o = h ^ bit
-            cur[h] = prev[h] + prev[o]
-            curk[h] = prevk[h] + prevk[o] + prev[o]
-        s2_snap[t] = cur
-        s2k_snap[t] = curk
 
-    # rho of a transition is 2 m num / (z min(w_h, w_h')); candidates compare
-    # as num / min(w_h, w_h') by cross-multiplication, first maximum kept
-    best_num, best_den = -1, 1
-    best_pair = (0, 0)
-    s1 = list(wt)
-    s1k = [0] * n
-    for t in range(m):
-        bit = 1 << perm[t]
-        suf, sufk = s2_snap[t], s2k_snap[t]
-        for h in range(n):
-            hp = h ^ bit
-            num = s1k[h] * suf[hp] + s1[h] * sufk[hp] + s1[h] * suf[hp]
-            den = min(wt[h], wt[hp])
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-                best_pair = (h, hp)
-        if t + 1 < m:
-            new = [0] * n
-            newk = [0] * n
-            for h in range(n):
-                o = h ^ bit
-                new[h] = s1[h] + s1[o]
-                newk[h] = s1k[h] + s1k[o] + s1[o]
-            s1, s1k = new, newk
+def _flip(a: np.ndarray, e: int) -> np.ndarray:
+    """a[h ^ 2^e] for every state h, as a new array."""
+    return a.reshape(-1, 2, 1 << e)[:, ::-1, :].reshape(len(a))
 
-    return CongestionResult(Fraction(2 * m * best_num, z * best_den), best_pair, ordering.width)
+
+def _fold(s: np.ndarray, sk: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Free one more edge e in a (sum, flip-weighted sum) table pair:
+    s'[h] = s[h] + s[h ^ 2^e] and sk'[h] = sk[h] + sk[h ^ 2^e] + s[h ^ 2^e]."""
+    fs = _flip(s, e)
+    return s + fs, sk + _flip(sk, e) + fs
+
+
+def _first_max_ratio(num: np.ndarray, den: np.ndarray) -> int:
+    """The first h maximising num[h] / den[h] (den > 0), exactly.
+
+    Floor quotients shortlist the states: every maximiser has the greatest
+    one.  Then, while some shortlisted state beats the first one by
+    cross-multiplication, the shortlist shrinks to the states that do; those
+    keep every maximiser in state order."""
+    q = num // den
+    idx = np.flatnonzero(q == q.max())
+    while len(idx) > 1:
+        c = idx[0]
+        better = num[idx] * den[c] > num[c] * den[idx]
+        if not better.any():
+            break
+        idx = idx[better]
+    return int(idx[0])
 
 
 def congestion_bound(g: Graph, params: ChainParams, width: int) -> Fraction:

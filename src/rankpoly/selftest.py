@@ -216,14 +216,45 @@ def check_crt_roundtrip() -> tuple[bool, str]:
     return True, "signed reconstruction round-trips"
 
 
+def _congestion_by_paths(
+    chain: mixing.ExactChain, ordering: mixing.EdgeOrdering
+) -> tuple[Fraction, tuple[int, int]]:
+    """Maximum congestion from the definition: every canonical path loads
+    each transition on it, and each transition's load is one Fraction.  The
+    first maximum in (ordering position, state) order is the argmax."""
+    wt, z, m = chain.weights, chain.total_weight, chain.m
+    load: dict[tuple[int, int], int] = {}
+    for i in range(chain.n_states):
+        for f in range(chain.n_states):
+            path = mixing.canonical_path(i, f, ordering)
+            for tr in zip(path, path[1:]):
+                load[tr] = load.get(tr, 0) + wt[i] * wt[f] * (len(path) - 1)
+    position = {e: t for t, e in enumerate(ordering.perm)}
+    best, best_pair = Fraction(-1), (0, 0)
+    for h, hp in sorted(load, key=lambda tr: (position[(tr[0] ^ tr[1]).bit_length() - 1], tr[0])):
+        rho = Fraction(2 * m * load[h, hp], z * min(wt[h], wt[hp]))
+        if rho > best:
+            best, best_pair = rho, (h, hp)
+    return best, best_pair
+
+
 def check_congestion_bounds() -> tuple[bool, str]:
+    """Exact congestion, on an ordering and its reverse, equals the path-
+    walking definition in value and argmax, and lies within the canonical-
+    path bound.  A table fold that skipped edge e would still be right on
+    e's own cut, so the reversed ordering moves the first maximum off it."""
     for g, fam in ((graphs.path_graph(5), RWS), (graphs.star_graph(4), RC)):
         obj = graphs.bipartition_of(g) if fam == RWS else g
         params = ChainParams(fam, Fraction(1, 2), Fraction(1))
-        ordering = mixing.dfs_tree_ordering(g)
-        res = mixing.congestion(obj, ordering, params)
-        if res.rho > mixing.congestion_bound(g, params, ordering.width):
-            return False, f"{fam} congestion bound broken"
+        chain = mixing.ExactChain(obj, params)
+        dfs = mixing.dfs_tree_ordering(g)
+        for ordering in (dfs, mixing.linear_width_of_ordering(g, dfs.perm[::-1])):
+            res = chain.congestion(ordering)
+            walked = _congestion_by_paths(chain, ordering)
+            if (res.rho, res.argmax) != walked:
+                return False, f"{fam} congestion {res.rho} at {res.argmax} != path walk {walked}"
+            if res.rho > mixing.congestion_bound(g, params, ordering.width):
+                return False, f"{fam} congestion bound broken"
     return True, "exact congestion within the canonical-path bound"
 
 

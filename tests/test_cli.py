@@ -616,3 +616,82 @@ def test_selftest_detects_broken_incidence_rows(capsys, monkeypatch):
     assert code == 1
     report = json.loads(out.splitlines()[-1])
     assert report["structure-routes"] is False
+
+
+@pytest.mark.parametrize("skip", [0, 1, 2, 3])
+def test_selftest_detects_a_fold_that_skips_one_edge(capsys, monkeypatch, skip):
+    from rankpoly import mixing, selftest
+
+    original = mixing._fold
+
+    def corrupted(s, sk, e):
+        return (s, sk) if e == skip else original(s, sk, e)
+
+    monkeypatch.setattr(mixing, "_fold", corrupted)
+    ok, detail = selftest.check_congestion_bounds()
+    assert not ok and "path walk" in detail
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    report = json.loads(out.splitlines()[-1])
+    assert report["congestion-bounds"] is False
+
+
+class TestUnreadFlagsRefused:
+    """A flag the command would not read is one error line and exit 1."""
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--q", "--mu"])
+    def test_tutte_takes_no_weights(self, capsys, k2, flag):
+        code, out, err = run_cli(capsys, "eval", "tutte", "--graph", k2, "--x", "2", "--y", "3", flag, "5")
+        assert code == 1 and out == ""
+        assert err == f"error: tutte does not take {flag}\n"
+
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    def test_zrc_takes_no_tutte_point(self, capsys, k2, flag):
+        code, out, err = run_cli(capsys, "eval", "zrc", "--graph", k2, "--q", "2", "--mu", "1", flag, "5")
+        assert code == 1 and out == ""
+        assert err == f"error: zrc does not take {flag}\n"
+
+    @pytest.mark.parametrize("poly", ["r2p", "r2"])
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    def test_rank_sums_take_no_tutte_point(self, capsys, k2, poly, flag):
+        code, out, err = run_cli(capsys, "eval", poly, "--graph", k2, "--lambda", "2", "--mu", "1", flag, "5")
+        assert code == 1 and out == ""
+        assert err == f"error: {poly} does not take {flag}\n"
+
+    def test_sample_burnin_without_thin(self, capsys, c4):
+        code, out, err = run_cli(
+            capsys, "sample", "rws", "--graph", c4, "--lambda", "1/2", "--mu", "1",
+            "--steps", "100", "--burnin", "5",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --burnin only delays recording; it needs --thin\n"
+
+    def test_sample_burnin_with_thin_still_runs(self, capsys, c4):
+        code, out, _ = run_cli(
+            capsys, "sample", "rws", "--graph", c4, "--lambda", "1/2", "--mu", "1",
+            "--steps", "100", "--burnin", "50", "--thin", "10",
+        )
+        assert code == 0 and json.loads(out.splitlines()[-1])["retained"] == 5
+
+    def test_mix_seed_without_empirical(self, capsys, c4):
+        code, out, err = run_cli(
+            capsys, "mix", "--graph", c4, "--family", "rc", "--q", "2", "--mu", "1", "--seed", "99",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: mix without --empirical does not take --seed\n"
+
+    @pytest.mark.parametrize("starts", ["policy", "trio", "all"])
+    def test_mix_empirical_with_starts(self, capsys, c4, starts):
+        code, out, err = run_cli(
+            capsys, "mix", "--graph", c4, "--family", "rc", "--q", "2", "--mu", "1",
+            "--empirical", "1000", "--starts", starts,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: mix --empirical does not take --starts\n"
+
+    def test_mix_empirical_seed_defaults_to_zero(self, capsys, c4):
+        args = ("mix", "--graph", c4, "--family", "rc", "--q", "2", "--mu", "1", "--empirical", "3000")
+        code, implicit, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, explicit, _ = run_cli(capsys, *args, "--seed", "0")
+        assert code == 0 and explicit == implicit

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -734,3 +735,83 @@ class TestOneRank:
     def test_rws_on_a_plain_graph_raises(self):
         with pytest.raises(ValueError, match="bipartite"):
             ExactChain(star_graph(3), ChainParams(RWS, F(1, 2), F(1)))
+
+
+class TestArrayCode:
+    """The whole-array congestion tables, pi and float steps against loops."""
+
+    @pytest.mark.parametrize("family,g", [(RC, cycle_graph(9)), (RWS, path_graph(10)),
+                                          (RC, complete_graph(4)), (RWS, complete_bipartite(2, 4))])
+    def test_congestion_exact_past_int64(self, family, g, rng):
+        params = ChainParams(family, F(10**40, 3), F(3**30, 2))
+        target = target_for(family, g)
+        perm = list(range(g.m))
+        rng.shuffle(perm)
+        for ordering in (natural_ordering(g), linear_width_of_ordering(g, perm)):
+            res = congestion(target, ordering, params)
+            assert res.rho.denominator > 2**63 or res.rho.numerator > 2**63
+            assert (res.rho, res.argmax) == reference_congestion(target, ordering, params)
+
+    @pytest.mark.parametrize("family,g", [(RC, star_graph(7)), (RWS, star_graph(8)), (RC, cycle_graph(13)),
+                                          (RWS, cycle_graph(12)), (RWS, complete_bipartite(2, 3))])
+    def test_congestion_first_of_tied_maxima(self, family, g):
+        params = ChainParams(family, F(1), F(1))
+        target = target_for(family, g)
+        o = natural_ordering(g)
+        res = congestion(target, o, params)
+        assert (res.rho, res.argmax) == reference_congestion(target, o, params)
+
+    @pytest.mark.parametrize("family,g,lam,mu", [
+        (RWS, path_graph(9), F(2**300, 3), F(2**150, 5)),    # weights past 2^1100
+        (RC, cycle_graph(7), F(1, 2**600), F(2**170, 7)),    # q^kappa past 2^4000
+        (RWS, star_graph(6), F(1, 3**700), F(5**400, 3)),    # pi entries far below 1e-308
+        (RC, star_graph(5), F(3), F(2, 7)),
+    ])
+    def test_pi_float_is_float_of_fraction(self, family, g, lam, mu):
+        chain = ExactChain(target_for(family, g), ChainParams(family, lam, mu))
+        assert max(chain.weights) > 2**1100 or lam == 3
+        ref = np.array([float(F(w, chain.total_weight)) for w in chain.weights])
+        assert chain.pi_float().tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("lam,mu", PARAMS)
+    def test_tv_curve_is_the_reference_loop(self, lam, mu):
+        for family, g in ((RWS, path_graph(7)), (RC, cycle_graph(6)), (RC, star_graph(5))):
+            chain = ExactChain(target_for(family, g), ChainParams(family, lam, mu))
+            p, pi = chain.sparse_transition(), chain.pi_float()
+            for start in chain.trio():
+                dist = np.zeros(chain.n_states)
+                dist[start] = 1.0
+                ref = [0.5 * float(np.abs(dist - pi).sum())]
+                for _ in range(60):
+                    dist = dist @ p
+                    ref.append(0.5 * float(np.abs(dist - pi).sum()))
+                assert chain.tv_curve(start, tmax=60) == ref
+
+    def test_congestion_limit_checked_before_any_table(self):
+        chain = ExactChain(path_graph(15), ChainParams(RC, F(2), F(1)))
+        assert chain.m == CONGESTION_LIMIT + 1
+        with pytest.raises(LimitExceededError, match="congestion"):
+            chain.congestion(natural_ordering(path_graph(15)))
+
+    @pytest.mark.parametrize("extra", [[], ["--starts", "trio"], ["--empirical", "2000"]])
+    def test_mix_walks_the_subsets_once(self, monkeypatch, capsys, tmp_path, extra):
+        from rankpoly import mixing
+        from rankpoly.cli import main
+
+        walks = []
+        original = mixing.gray_ranks
+
+        def counted(*args):
+            walks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mixing, "gray_ranks", counted)
+        path = tmp_path / "t.txt"
+        path.write_text("0 1\n1 2\n1 3\n3 4\n4 5\n")
+        argv = ["mix", "--graph", str(path), "--family", "rws", "--lambda", "1/2", "--mu", "1"]
+        assert main(argv + extra) == 0
+        assert len(walks) == 1
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        g = Graph(6, ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5)))
+        params = ChainParams(RWS, F(1, 2), F(1))
+        assert summary["rho"] == str(reference_congestion(bipartition_of(g), dfs_tree_ordering(g), params)[0])
