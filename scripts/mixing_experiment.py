@@ -19,12 +19,7 @@ from fractions import Fraction
 
 from rankpoly.chains import RWS, ChainParams
 from rankpoly.graphs import bipartition_of, random_tree
-from rankpoly.mixing import (
-    ExactChain,
-    congestion,
-    dfs_tree_ordering,
-    mixing_bound_from_congestion,
-)
+from rankpoly.mixing import ExactChain, dfs_tree_ordering, mixing_bound_from_congestion
 
 
 def main() -> int:
@@ -47,7 +42,7 @@ def main() -> int:
             ordering = dfs_tree_ordering(tree)
             chain = ExactChain(b, params)
             tau = chain.mixing_time(args.eps)
-            rho = congestion(b, ordering, params).rho
+            rho = chain.congestion(ordering).rho  # the states tau walked
             bound = mixing_bound_from_congestion(rho, chain.pi_min(), args.eps)
             print(
                 f"{n},{tree.m},{ordering.width},{tau},{float(rho):.4g},"

@@ -265,6 +265,8 @@ def _cmd_sample(args) -> int:
 def _cmd_mix(args) -> int:
     if not 0 < args.eps < 1:  # also false for nan and inf
         raise ValueError(f"eps must lie strictly between 0 and 1, got {args.eps}")
+    if args.empirical is not None and args.empirical < 1:  # no step, no measured TV
+        raise ValueError(f"--empirical must be at least 1, got {args.empirical}")
     if args.empirical is not None and args.csv_out:
         raise ValueError("--empirical draws no TV curve; --csv-out needs the exact mode")
     if args.empirical is None:
@@ -282,7 +284,7 @@ def _cmd_mix(args) -> int:
     if args.empirical is not None:
         seed = 0 if args.seed is None else args.seed
         result = chains.run(target, params, args.empirical, seed, 0, 0, max(1, args.empirical // 10_000))
-        tv = mixing.empirical_tv(chain, result.samples) if result.samples else 1.0
+        tv = mixing.empirical_tv(chain, result.samples)
     else:
         trio = chain.trio()
         if args.starts == "all":

@@ -385,41 +385,22 @@ def stretch_sum(h: Graph, ups: BipartiteGraph, root: int) -> BipartiteGraph:
     if root not in ups.side_u:
         raise ValueError("gadget root must lie on the U side")
     base = two_stretch(h)
-    n0 = base.n
-    block = ups.n - 1  # non-root vertices per copy
-    total_n = n0 + h.n * block
-
     ups_labels = ups.graph.labels or tuple(f"g{v}" for v in range(ups.n))
-    labels = list(base.graph.labels or ())
-    vmap_per_copy: list[dict[int, int]] = []
+    in_u = set(ups.side_u)
+    labels = list(base.graph.labels)
+    edges = list(base.edges)
+    side_u, side_w = list(base.side_u), list(base.side_w)
     for c in range(h.n):
         vmap = {root: c}
-        nxt = n0 + c * block
         for v in range(ups.n):
-            if v == root:
-                continue
-            vmap[v] = nxt
-            labels.append(f"c{c}:{ups_labels[v]}")
-            nxt += 1
-        vmap_per_copy.append(vmap)
-
-    edges = list(base.graph.edges)
-    for c in range(h.n):
-        vmap = vmap_per_copy[c]
-        for u, v in ups.graph.edges:
-            edges.append((vmap[u], vmap[v]))
-
-    g = Graph(total_n, tuple(edges), tuple(labels))
-    side_u = set(base.side_u)
-    side_w = set(base.side_w)
-    for c in range(h.n):
-        vmap = vmap_per_copy[c]
-        for v in ups.side_u:
             if v != root:
-                side_u.add(vmap[v])
-        for v in ups.side_w:
-            side_w.add(vmap[v])
-    return BipartiteGraph(g, tuple(sorted(side_u)), tuple(sorted(side_w)))
+                # fresh ids only grow, so both sides stay sorted
+                vmap[v] = len(labels)
+                (side_u if v in in_u else side_w).append(len(labels))
+                labels.append(f"c{c}:{ups_labels[v]}")
+        edges.extend((vmap[u], vmap[v]) for u, v in ups.edges)
+    g = Graph(len(labels), tuple(edges), tuple(labels))
+    return BipartiteGraph(g, tuple(side_u), tuple(side_w))
 
 
 def fan_gadget(k: int) -> tuple[BipartiteGraph, int]:

@@ -8,8 +8,10 @@ Two pipelines, both consuming only residues of exact-evaluator answers:
 * independent-set count  →  permissive-count queries on cloud blowups.
 
 Primes are found by direct search over small candidates (never assumed to
-exist), and every (p, k) pair is re-verified against the gadget sums before
-any congruence is trusted.
+exist): both pipelines look for their witness k with one power search.  Every
+(p, k) pair is re-verified against the gadget's purity-split sums before any
+congruence is trusted, and the enumeration limit applies to every table of a
+witness: the stretch-sum, the gadget sums and the rank-sum query.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .graphs import (
 )
 
 DEFAULT_PRIME_CAP = 2000
-GADGET_ENUM_LIMIT = 16
 
 
 class GadgetConditionError(ValueError):
@@ -123,6 +124,19 @@ def _collect_primes(
     raise ValueError(f"not enough usable primes under {prime_cap} for {what}")
 
 
+def _power_search(start: int, base: int, target: int, p: int) -> int | None:
+    """Least k in [1, p) with start * base^k == target (mod p), or None once
+    the powers return to start."""
+    power = start
+    for k in range(1, p):
+        power = power * base % p
+        if power == target:
+            return k
+        if power == start:
+            return None
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Gadget parameter search (Tutte pipeline)
 
@@ -137,16 +151,13 @@ def _gadget_for(mu: Fraction, k: int) -> tuple[BipartiteGraph, int]:
     return biclique_gadget(k) if mu == -2 else fan_gadget(k)
 
 
-def _closed_forms(lam: Fraction, mu: Fraction, k: int) -> tuple[Fraction, Fraction]:
-    """(X, Y) of the gadget ``_gadget_for(mu, k)`` from its closed forms."""
-    return biclique_gadget_closed_forms(k, lam) if mu == -2 else fan_gadget_closed_forms(k, lam, mu)
-
-
 def gadget_conditions_hold(
     lam: Fraction, mu: Fraction, p: int, k: int
 ) -> bool:
     """Check X != 0 and Y == 0 mod p from the gadget closed forms."""
-    return _conditions_hold(p, *_closed_forms(lam, mu, k))
+    if mu == -2:
+        return _conditions_hold(p, *biclique_gadget_closed_forms(k, lam))
+    return _conditions_hold(p, *fan_gadget_closed_forms(k, lam, mu))
 
 
 def find_gadget_params(
@@ -179,30 +190,43 @@ def find_gadget_params(
 
 def _gadget_witness(lam: Fraction, mu: Fraction, p: int) -> int | None:
     """Smallest k in [1, p-1] making the gadget congruences hold, or None."""
-    if mu == -1:
-        # the mixed-side sum vanishes identically; any k works when 1/lam != 0
-        return 1 if lam.denominator % p != 0 else None
     if mu == -2:
         one_minus = 1 - 1 / lam
         if one_minus.numerator % p == 0:
             return None
         target = rational_mod_p((1 / lam**2 - 3 / lam + 1) / one_minus, p).value
-        excluded = rational_mod_p(one_minus, p).value
-        power = 1
-        base = pow(25, 1, p)
-        for k in range(1, p):
-            power = (power * base) % p
-            if power == target and power != excluded:
-                return k
-        return None
-    target = rational_mod_p(1 - 1 / lam, p).value
+        if target == rational_mod_p(one_minus, p).value:
+            return None
+        return _power_search(1, 25 % p, target, p)
     base = rational_mod_p(mu + 1, p).value
-    power = base  # (mu+1)^(k+1) starting at k=0 -> exponent 1
-    for k in range(1, p):
-        power = (power * base) % p
-        if power == target:
-            return k
-    return None
+    if base == 0:  # Y carries the factor mu + 1, and X = 1/lam there
+        return 1
+    # Y == 0 is (mu+1)^(k+1) == 1 - 1/lam, and then X == mu^2 != 0
+    return _power_search(base, base, rational_mod_p(1 - 1 / lam, p).value, p)
+
+
+def _stretched(
+    h: Graph, mu: Fraction, k: int, max_edges: int | None
+) -> tuple[BipartiteGraph, int, BipartiteGraph]:
+    """(gadget, root, stretch-sum of h) for witness k, the stretch-sum
+    refused past the enumeration limit before any table is built."""
+    gadget, root = _gadget_for(mu, k)
+    g = stretch_sum(h, gadget, root)
+    _check_limit(g.m, max_edges)
+    return gadget, root, g
+
+
+def _verified_x(
+    p: int, k: int, lam: Fraction, sums: tuple[Fraction, Fraction]
+) -> Fraction:
+    """X of the gadget from its purity-split sums (Z_pure, Z_mixed), after
+    re-checking X != 0 and Y == 0 mod p."""
+    x_val = lam * sums[0]
+    if not _conditions_hold(p, x_val, x_val + sums[1]):
+        raise GadgetConditionError(
+            f"(p={p}, k={k}) fails the gadget congruence conditions"
+        )
+    return x_val
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +245,14 @@ def verify_reduction_congruence(
     gadget, that the rank sum of G equals
     lam^(n * |U_gadget|) * X^n * Z(h; 1/lam - 1, mu^2) mod p.
 
-    The gadget pair (p, k) is first re-verified from the gadget's own
-    purity-split sums; a failure there raises GadgetConditionError rather
-    than reporting a congruence mismatch.
+    The stretch-sum is refused past the enumeration limit first; the gadget
+    pair (p, k) is then re-verified from the gadget's own purity-split sums,
+    and a failure there raises GadgetConditionError rather than reporting a
+    congruence mismatch.
     """
     lam, mu = Fraction(lam), Fraction(mu)
-    gadget, root = _gadget_for(mu, k)
-    if gadget.m <= GADGET_ENUM_LIMIT:
-        zp, zm = purity_split_sums(gadget, root, lam, mu)
-        x_val, y_val = lam * zp, lam * zp + zm
-    else:  # past the enumeration limit only the closed forms remain
-        x_val, y_val = _closed_forms(lam, mu, k)
-    if not _conditions_hold(p, x_val, y_val):
-        raise GadgetConditionError(
-            f"(p={p}, k={k}) fails the gadget congruence conditions"
-        )
-    g = stretch_sum(h, gadget, root)
+    gadget, root, g = _stretched(h, mu, k, max_edges)
+    x_val = _verified_x(p, k, lam, purity_split_sums(gadget, root, lam, mu, max_edges))
     lhs = r2_prime(g, lam, mu, max_edges).value
     n_u = len(gadget.side_u)
     rhs = (
@@ -271,6 +287,22 @@ class ReductionCert:
             "bound": self.bound,
             "value": f"{self.value.numerator}/{self.value.denominator}",
         }
+
+
+def _certify(
+    pairs: list[tuple[int, int]], residues: list[ModP], bound: int, scale: Fraction
+) -> ReductionCert:
+    """CRT-reconstruct the integer L from the residues against ``bound``;
+    the certificate's value is scale * L."""
+    big_l = crt_reconstruct(residues, bound)
+    return ReductionCert(
+        tuple(p for p, _ in pairs),
+        tuple(k for _, k in pairs),
+        tuple(r.value for r in residues),
+        big_l,
+        bound,
+        scale * big_l,
+    )
 
 
 def _rational_square_root(y: Fraction) -> Fraction | None:
@@ -313,48 +345,30 @@ def tutte_via_oracle(
     bound = 2**m * abs(b - a) ** n * abs(a) ** n * abs(c) ** (2 * m) * abs(d) ** (2 * m)
     pairs = find_gadget_params(lam, mu, prime_cap=prime_cap, min_product=2 * bound)
 
-    # Witnesses k repeat across primes; every stretch-sum size is known
-    # here, so the enumeration limit is checked before any enumeration.
-    stretched = {}
-    for k in dict.fromkeys(k for _, k in pairs):
-        gadget, root = _gadget_for(mu, k)
-        g = stretch_sum(h, gadget, root)
-        _check_limit(g.m, max_edges)
-        stretched[k] = gadget, root, g
-    sums = {
-        k: purity_split_sums(gadget, root, lam, mu)
-        for k, (gadget, root, _) in stretched.items()
+    # Witnesses k repeat across primes; every stretch-sum is refused past the
+    # limit before any table is built, then each distinct witness gets one
+    # record: the gadget's |U|, its purity-split sums and the one query.
+    stretched = {k: _stretched(h, mu, k, max_edges) for k in dict.fromkeys(k for _, k in pairs)}
+    records = {
+        k: (
+            len(gadget.side_u),
+            purity_split_sums(gadget, root, lam, mu, max_edges),
+            r2_prime(g, lam, mu, max_edges).value,
+        )
+        for k, (gadget, root, g) in stretched.items()
     }
-    queries: dict[int, Fraction] = {}
-
     residues: list[ModP] = []
     for p, k in pairs:
-        gadget, root, g = stretched[k]
-        zp, zm = sums[k]
-        x_val = lam * zp
-        if not _conditions_hold(p, x_val, x_val + zm):
-            raise GadgetConditionError(f"(p={p}, k={k}) failed re-verification")
-        if k not in queries:
-            queries[k] = r2_prime(g, lam, mu, max_edges).value
-        query = queries[k]
-        n_u = len(gadget.side_u)
+        n_u, sums, query = records[k]
+        x_val = _verified_x(p, k, lam, sums)
         # L = a^n d^(2m) lam^(-n|U|) X^(-n) * query  (mod p)
         factor = Fraction(a**n * d ** (2 * m)) / (lam ** (n * n_u) * x_val**n)
         residues.append(rational_mod_p(factor * query, p))
 
-    big_l = crt_reconstruct(residues, bound)
-    z_val = Fraction(big_l, a**n * d ** (2 * m))
     kappa_full, _ = components(h, h.full_subset())
-    value = (x - 1) ** (-kappa_full) * (y - 1) ** (-n) * z_val
-    cert = ReductionCert(
-        tuple(p for p, _ in pairs),
-        tuple(k for _, k in pairs),
-        tuple(r.value for r in residues),
-        big_l,
-        bound,
-        value,
-    )
-    return value, cert
+    scale = (x - 1) ** (-kappa_full) * (y - 1) ** (-n) / (a**n * d ** (2 * m))
+    cert = _certify(pairs, residues, bound, scale)
+    return cert.value, cert
 
 
 def find_pbis_params(
@@ -378,22 +392,14 @@ def find_pbis_params(
     if eta in (Fraction(0), Fraction(1), Fraction(-1)):
         raise ValueError("eta must avoid {0, 1, -1}")
     ratio = (1 + eta) / (1 - eta)
+    factors = eta.numerator * eta.denominator * (eta - 1).numerator * (eta + 1).numerator
 
     def witness(p: int) -> int | None:
-        if (eta.numerator * eta.denominator) % p == 0:
-            return None
-        if (eta - 1).numerator % p == 0 or (eta + 1).numerator % p == 0:
+        if factors % p == 0:
             return None
         r = rational_mod_p(ratio, p).value
-        r2k = (r * r) % p
-        power = 1
-        for k in range(1, p):
-            power = (power * r2k) % p
-            if power == p - 1:
-                return None if cloud_safe and k != 1 else k
-            if power == 1:
-                return None  # cycled without hitting -1
-        return None
+        k = _power_search(1, r * r % p, p - 1, p)
+        return k if not cloud_safe or k == 1 else None
 
     what = f"eta={eta}"
     if cloud_safe:  # r^2 = -1 mod p for r = a/b: p divides a^2 + b^2
@@ -425,13 +431,5 @@ def bis_via_pbis_oracle(
                 f"cloud graph for p={p}, k={k} too large: {exc}"
             ) from exc
         residues.append(rational_mod_p(q, p))
-    value = crt_reconstruct(residues, bound)
-    cert = ReductionCert(
-        tuple(p for p, _ in pairs),
-        tuple(k for _, k in pairs),
-        tuple(r.value for r in residues),
-        value,
-        bound,
-        Fraction(value),
-    )
-    return value, cert
+    cert = _certify(pairs, residues, bound, Fraction(1))
+    return cert.reconstructed, cert

@@ -247,6 +247,21 @@ class TestMix:
         assert code == 1 and out == "" and not csv.exists()
         assert err == "error: --empirical draws no TV curve; --csv-out needs the exact mode\n"
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_empirical_below_one_is_refused_before_loading(self, capsys, monkeypatch, tmp_path, steps):
+        from rankpoly import mixing
+
+        def forbidden(*args):
+            raise AssertionError("built an exact chain for a refused --empirical")
+
+        monkeypatch.setattr(mixing, "ExactChain", forbidden)
+        code, out, err = run_cli(
+            capsys, "mix", "--graph", str(tmp_path / "absent.txt"), "--family", "rws",
+            "--lambda", "1/2", "--mu", "1", "--empirical", steps,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --empirical must be at least 1, got {steps}\n"
+
     def test_start_matrix_limit_is_one_line(self, capsys, tmp_path):
         path17 = tmp_path / "p17.txt"
         path17.write_text("".join(f"{i} {i + 1}\n" for i in range(16)))

@@ -218,6 +218,49 @@ class TestStretchSum:
         with pytest.raises(ValueError, match="U side"):
             stretch_sum(path_graph(2), ups, ups.side_w[0])
 
+    def test_layout_is_pinned(self):
+        # ids, edge order, sides and labels as documented, recorded literally
+        result = stretch_sum(complete_graph(3), *fan_gadget(2))
+        assert result.n == 18
+        assert result.edges == (
+            (0, 3), (1, 3), (0, 4), (2, 4), (1, 5), (2, 5),
+            (0, 7), (6, 7), (6, 8), (6, 9),
+            (1, 11), (10, 11), (10, 12), (10, 13),
+            (2, 15), (14, 15), (14, 16), (14, 17),
+        )
+        assert result.side_u == (0, 1, 2, 6, 10, 14)
+        assert result.side_w == (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17)
+        assert result.graph.labels[3:10] == (
+            "mid0", "mid1", "mid2", "c0:u1", "c0:v0", "c0:v1", "c0:v2"
+        )
+
+        result = stretch_sum(path_graph(2), *biclique_gadget(1))
+        assert result.n == 13
+        assert result.edges == (
+            (0, 2), (1, 2),
+            (0, 5), (3, 5), (3, 6), (4, 6), (3, 7), (4, 7),
+            (1, 10), (8, 10), (8, 11), (9, 11), (8, 12), (9, 12),
+        )
+        assert result.side_u == (0, 1, 3, 4, 8, 9)
+        assert result.side_w == (2, 5, 6, 7, 10, 11, 12)
+        assert result.graph.labels == (
+            "v0", "v1", "mid0", "c0:u1", "c0:u2", "c0:v0", "c0:v1", "c0:v2",
+            "c1:u1", "c1:u2", "c1:v0", "c1:v1", "c1:v2",
+        )
+
+    def test_layout_with_a_root_past_vertex_zero(self):
+        # the root's copy vertex is skipped wherever it falls in ups order
+        result = stretch_sum(path_graph(3), complete_bipartite(2, 1), 1)
+        assert result.edges == (
+            (0, 3), (1, 3), (1, 4), (2, 4), (5, 6), (0, 6), (7, 8), (1, 8), (9, 10), (2, 10)
+        )
+        assert result.side_u == (0, 1, 2, 5, 7, 9)
+        assert result.side_w == (3, 4, 6, 8, 10)
+        assert result.graph.labels == (
+            "v0", "v1", "v2", "mid0", "mid1",
+            "c0:g0", "c0:g2", "c1:g0", "c1:g2", "c2:g0", "c2:g2",
+        )
+
     def test_w_degrees_stay_at_most_2(self, rng):
         ups, root = fan_gadget(3)
         h = random_graph(rng, 4, 0.6)

@@ -131,6 +131,26 @@ class TestFindGadgetParams:
         with pytest.raises(ValueError, match=r"not enough usable primes under 20 for eta=3$"):
             find_pbis_params(F(3), count=10, prime_cap=20)
 
+    def test_witness_is_the_least_k_meeting_the_conditions(self):
+        # brute force over the closed-form conditions themselves, including
+        # primes where mu + 1 == 0 (mod p): Y carries that factor, so k = 1
+        primes = [p for p in range(3, 100, 2) if all(p % q for q in range(3, p, 2))]
+        for lam in (F(1, 3), F(-2), F(-5, 4), F(3, 7), F(-1, 6)):
+            for mu in (F(1), F(-1), F(-2), F(4), F(2, 3), F(-3, 5)):
+                factors = lam.numerator * lam.denominator * mu.numerator * mu.denominator
+                for p in primes:
+                    if factors % p == 0:
+                        continue
+                    brute = next(
+                        (k for k in range(1, p) if gadget_conditions_hold(lam, mu, p, k)), None
+                    )
+                    assert reductions._gadget_witness(lam, mu, p) == brute, (lam, mu, p)
+
+    def test_mu_plus_one_divisible_by_p_is_admitted(self):
+        assert find_gadget_params(F(1, 3), F(4), count=3) == [(5, 1), (7, 6), (11, 3)]
+        for h in (path_graph(2), path_graph(3), complete_graph(3)):
+            assert verify_reduction_congruence(h, F(1, 3), F(4), 5, 1)
+
     def test_conditions_match_purity_sums(self):
         # closed-form check used by the search == enumerated gadget sums
         for (lam, mu, p, k) in ((F(1, 3), F(1), 5, 2), (F(-1), F(-2), 3, 1)):
@@ -224,6 +244,14 @@ class TestTuttePipeline:
         with pytest.raises(LimitExceededError, match="27 edges exceeds enumeration limit 26"):
             tutte_via_oracle(complete_graph(3), F(3), F(5))
 
+    def test_explicit_limit_reaches_the_gadget_sums(self):
+        # witness (37, 31) is a 33-edge fan, past the default limit of 26
+        x, y = F(-6), F(2)
+        value, cert = tutte_via_oracle(path_graph(5), x, y, max_edges=5000)
+        assert value == tutte(path_graph(5), x, y)
+        assert (37, 31) in zip(cert.primes, cert.ks)
+        assert verify_reduction_congruence(path_graph(2), F(-1, 6), F(1), 37, 31, max_edges=5000)
+
     def test_certificate_residues_consistent(self):
         value, cert = tutte_via_oracle(path_graph(3), F(-3), F(2))
         for p, r in zip(cert.primes, cert.residues):
@@ -244,6 +272,22 @@ class TestPbisParams:
         assert pairs == [(5, 1), (13, 3), (17, 2), (29, 7)]
         for p, k in pairs:
             assert brute(p) == k
+
+    def test_witnesses_match_brute_force_over_primes(self):
+        primes = [p for p in range(3, 200, 2) if all(p % q for q in range(3, p, 2))]
+        for eta in (F(3), F(7, 9), F(-2, 5), F(1, 4)):
+            ratio = (1 + eta) / (1 - eta)
+            excluded = eta.numerator * eta.denominator * (eta - 1).numerator * (eta + 1).numerator
+            for cloud_safe in (False, True):
+                expected = []
+                for p in (p for p in primes if excluded % p):
+                    r = rational_mod_p(ratio, p).value
+                    k = next((j for j in range(1, p) if pow(r, 2 * j, p) == p - 1), None)
+                    if k is not None and (k == 1 or not cloud_safe):
+                        expected.append((p, k))
+                assert find_pbis_params(
+                    eta, count=len(expected), prime_cap=200, cloud_safe=cloud_safe
+                ) == expected
 
     def test_cloud_safe_restricts_to_k1(self):
         assert find_pbis_params(F(3), count=1, prime_cap=200, cloud_safe=True) == [
