@@ -6,7 +6,7 @@ subset sample to an independent set through a uniform left-nullspace vector,
 and compares the sampled histogram against the exact uniform law.
 
 Example:
-    python scripts/sample_independent_sets.py --graph examples.txt --steps 200000
+    python scripts/sample_independent_sets.py --graph tests/golden/c8.txt --steps 200000
 """
 
 from __future__ import annotations

@@ -21,6 +21,16 @@ Otherwise it reads d rank with the read-only ``RankProfile.delta_if_flip``
 and finishes the draw from the word (``SplitMix64.randrange_from``).  The
 update is applied only when the toggle is accepted, and the words drawn are
 exactly those of probing first.
+
+``ChainState.advance`` reads the words by index from a block that
+``SplitMix64.words`` computes at once, not by one ``randrange`` and one
+``next_u64`` call a step.  A finish positions the generator at the words
+read so far first, and reads on in the block by as many words as it drew.
+On return the unread words go back (``SplitMix64.unread``), so the
+generator stands where drawing word by word leaves it.  The state keeps
+the cut block and reuses it while the generator still stands there, so
+calls of one step each do not pay a block per call.  Blocks double from 64
+words up to ``rng.BLOCK``, so a short run computes few spare words.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from .gf2 import (
     toggled_profile,
 )
 from .graphs import BipartiteGraph, EdgeSubset, Graph, components
-from .rng import SplitMix64
+from .rng import BLOCK, SplitMix64
 
 RWS = "rws"
 RC = "rc"
@@ -134,6 +144,9 @@ class ChainState:
         if self.m == 0:
             raise ValueError("chain needs at least one edge")
         self.profile = toggled_profile(nrows, ncols, toggles, subset)
+        # words of the last block, the next one to read, and the rng state
+        # that reads it: ``advance`` reuses the block while the state matches
+        self._cut: tuple[int | None, list[int], int] = (None, [], 0)
 
     @property
     def statistic(self) -> int:
@@ -158,13 +171,30 @@ class ChainState:
         """Take ``count`` steps."""
         m, toggles, accept, gates = self.m, self.toggles, self.params.accept, self.params.gates
         delta_if_flip, flip = self.profile.delta_if_flip, self.profile.flip
-        randrange, next_u64, randrange_from = rng.randrange, rng.next_u64, rng.randrange_from
+        randrange_from = rng.randrange_from
+        # randrange(m) is word >> shift, retried while >= m; randrange(1)
+        # draws no word, so for m == 1 the edge read (always 0) takes none
+        shift, edge_words = 64 - (m - 1).bit_length(), int(m > 1)
+        at, words, i = self._cut
+        if rng.state != at:
+            words, i = [], 0
+        rng.unread(i - len(words))  # rng stands at the end of the block
+        stop = len(words) - 1  # an edge word is read with a word after it
         subset, accepts = self.subset, 0
         for _ in range(count):
-            e = randrange(m)
+            while True:
+                if i >= stop:
+                    rng.unread(len(words) - i)
+                    words, i = rng.words(min(BLOCK, max(64, 2 * len(words)))), 0
+                    stop = len(words) - 1
+                e = words[i] >> shift
+                i += edge_words
+                if e < m:
+                    break
+            x = words[i]
+            i += 1
             bit = 1 << e
             adding = not subset & bit
-            x = next_u64()
             lo, hi, top = gates[adding]
             if x < lo:
                 ok = True
@@ -172,11 +202,18 @@ class ChainState:
                 ok = False
             else:
                 num, den = accept[delta_if_flip(*toggles[e]) + 1][adding]
+                rng.unread(len(words) - i)
+                here = rng.state
                 ok = randrange_from(den, x) < num
+                if rng.state != here:  # the finish read on, maybe past the block
+                    i += rng.words_since(here)
+                rng.unread(i - len(words))
             if ok:
                 flip(*toggles[e])
                 subset ^= bit
                 accepts += 1
+        rng.unread(len(words) - i)
+        self._cut = (rng.state, words, i)
         self.subset = subset
         self.accepts += accepts
         self.steps += count
@@ -227,6 +264,7 @@ def run(
         samples.append(state.subset)
         done = mark
     advance(steps - done)
+    state._cut = (None, [], 0)  # no later call draws from this run's rng
     rate = state.accepts / state.steps if state.steps else 0.0
     return RunResult(state, samples, rate)
 

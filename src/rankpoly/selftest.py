@@ -260,7 +260,13 @@ def check_congestion_bounds() -> tuple[bool, str]:
 
 def check_sampler_determinism() -> tuple[bool, str]:
     from . import chains
+    from .rng import BLOCK, SplitMix64
 
+    for seed in (0, 2**64 - 1, 0x9E3779B97F4A7C15):
+        block, single = SplitMix64(seed), SplitMix64(seed)
+        for k in (1, 64, BLOCK + 1):
+            if block.words(k) != [single.next_u64() for _ in range(k)] or block.state != single.state:
+                return False, f"words({k}) != {k} next_u64 words at seed {seed}"
     b = graphs.bipartition_of(graphs.path_graph(5))
     params = ChainParams(RWS, Fraction(1, 2), Fraction(1))
     r1 = chains.run(b, params, 500, seed=42, thin=10)
@@ -282,6 +288,7 @@ QUICK_GROUPS = {
     "matching-rank": check_matching_rank,
     "structure-routes": check_structure_routes,
     "detailed-balance": check_detailed_balance,
+    "congestion-bounds": check_congestion_bounds,
     "crt-roundtrip": check_crt_roundtrip,
     "sampler-determinism": check_sampler_determinism,
 }
@@ -291,7 +298,6 @@ FULL_GROUPS = {
     "pbis-identity": check_pbis_identity,
     "difference-bounds": check_difference_bounds,
     "tree-ordering-width": check_tree_ordering_width,
-    "congestion-bounds": check_congestion_bounds,
 }
 
 

@@ -17,6 +17,7 @@ from rankpoly.chains import (
 from rankpoly.gf2 import bipartite_adjacency, left_nullspace, rank
 from rankpoly.graphs import (
     BipartiteGraph,
+    Graph,
     bipartition_of,
     complete_graph,
     components,
@@ -26,7 +27,7 @@ from rankpoly.graphs import (
     subset_from_edges,
 )
 from rankpoly.mixing import ExactChain, empirical_tv
-from rankpoly.rng import SplitMix64
+from rankpoly.rng import BLOCK, SplitMix64
 from conftest import random_bipartite, random_graph, random_tree
 
 
@@ -441,3 +442,131 @@ class TestEncoding:
                 assert state.profile.rank == rank(matrix(state.subset))
                 assert state.statistic == state.statistic_from_scratch()
                 state.step(gen)
+
+
+def advance_by_draws(state, rng, count):
+    """``ChainState.advance`` with one generator call per draw: the edge by
+    ``randrange``, the acceptance word by ``next_u64``, finished by
+    ``randrange_from`` when the gate cannot decide.  Returns how many of
+    those finishes drew further words."""
+    m, toggles, accept, gates = state.m, state.toggles, state.params.accept, state.params.gates
+    retries = 0
+    for _ in range(count):
+        e = rng.randrange(m)
+        bit = 1 << e
+        adding = not state.subset & bit
+        x = rng.next_u64()
+        lo, hi, top = gates[adding]
+        if x < lo:
+            ok = True
+        elif hi <= x < top:
+            ok = False
+        else:
+            num, den = accept[state.profile.delta_if_flip(*toggles[e]) + 1][adding]
+            before = rng.state
+            ok = rng.randrange_from(den, x) < num
+            retries += rng.state != before
+        if ok:
+            state.profile.flip(*toggles[e])
+            state.subset ^= bit
+            state.accepts += 1
+    state.steps += count
+    return retries
+
+
+class TestBlockWords:
+    """``advance`` reads its words from blocks and hands back the unread
+    ones: subsets, accepts and the generator's state equal drawing word by
+    word, over any split of the steps into calls."""
+
+    # dens 7 and 2^40 + 1 fail a first try; HUGE takes two words a try and
+    # gives the gates (0, 0, 0); (2^63 + 1)/3 gives a 63-bit den that fails a
+    # first try a third of the time
+    PARAMS = [(F(1, 2), F(1)), (F(3), F(2, 7)), (F(1, 2), F(1, HUGE)), (F(1, 2), F(2**40 + 1, 2**40)),
+              (F(2**63 + 1, 3), F(1)), (F(1), F(HUGE, 2))]
+
+    @staticmethod
+    def graph_with_m(rng, m):
+        pairs = [(i, 6 + j) for i in range(6) for j in range(6)]
+        rng.shuffle(pairs)
+        return BipartiteGraph(Graph(12, tuple(sorted(pairs[:m]))), tuple(range(6)), tuple(range(6, 12)))
+
+    def compare(self, b, family, lam, mu, seed, counts):
+        """Runs both ways over ``counts``; returns how many finishes drew
+        further words."""
+        g = b if family == RWS else b.graph
+        params = ChainParams(family, lam, mu)
+        fast, slow = ChainState(g, params), ChainState(g, params)
+        gen_fast, gen_slow = SplitMix64(seed), SplitMix64(seed)
+        retries = 0
+        for count in counts:
+            fast.advance(gen_fast, count)
+            retries += advance_by_draws(slow, gen_slow, count)
+            assert (fast.subset, fast.accepts, fast.steps) == (slow.subset, slow.accepts, slow.steps)
+            assert gen_fast.state == gen_slow.state
+        assert fast.profile.rank == slow.profile.rank
+        return retries
+
+    @pytest.mark.parametrize("family", [RWS, RC])
+    @pytest.mark.parametrize("lam,mu", PARAMS)
+    def test_advance_equals_drawing_word_by_word(self, family, lam, mu, rng):
+        # m = 1 draws no edge word; powers of two never reject an edge word
+        for m in (1, 2, 3, 4, 5, 8, 9, 16, 17, 23):
+            b = self.graph_with_m(rng, m)
+            self.compare(b, family, lam, mu, rng.getrandbits(64), [0, 1, 2, 1, 7, 64, 0, 130])
+
+    @pytest.mark.parametrize("m", [1, 16, 17])
+    def test_counts_about_one_block(self, m, rng):
+        retries = 0
+        for family, (lam, mu) in ((RWS, self.PARAMS[3]), (RC, self.PARAMS[2])):
+            b = self.graph_with_m(rng, m)
+            for seed in (0, 2**64 - 1):
+                retries += self.compare(b, family, lam, mu, seed, [1, BLOCK - 1, BLOCK, BLOCK + 1, 0])
+        assert retries > 100
+
+    def test_other_draws_between_calls(self, rng):
+        b = self.graph_with_m(rng, 9)
+        params = ChainParams(RWS, F(1, 2), F(1))
+        fast, slow = ChainState(b, params), ChainState(b, params)
+        gen_fast, gen_slow = SplitMix64(5), SplitMix64(5)
+        for count, between in ((10, 1), (3, 0), (40, -2), (1, 5), (100, 0), (7, -70)):
+            fast.advance(gen_fast, count)
+            advance_by_draws(slow, gen_slow, count)
+            assert fast.subset == slow.subset and gen_fast.state == gen_slow.state
+            if between > 0:  # the caller draws for itself
+                assert gen_fast.words(between) == [gen_slow.next_u64() for _ in range(between)]
+            else:  # or hands words back, and the chain reads them again
+                gen_fast.unread(-between)
+                gen_slow.unread(-between)
+
+    @pytest.mark.parametrize("debug_check", [False, True])
+    def test_run_equals_drawing_word_by_word(self, debug_check, rng):
+        for m in (1, 4, 5, 17):
+            b = self.graph_with_m(rng, m)
+            for family, (lam, mu) in zip((RWS, RC, RWS), self.PARAMS[1:4]):
+                g = b if family == RWS else b.graph
+                params = ChainParams(family, lam, mu)
+                seed, thin = rng.getrandbits(64), rng.choice((0, 1, 3, 50))
+                res = run(g, params, 300, seed, 0, 0, thin, debug_check)
+                slow, gen = ChainState(g, params), SplitMix64(seed)
+                samples = []
+                for _ in range(300 // thin if thin else 0):
+                    advance_by_draws(slow, gen, thin)
+                    samples.append(slow.subset)
+                advance_by_draws(slow, gen, 300 - slow.steps)
+                assert (res.samples, res.final.subset, res.final.accepts) == (samples, slow.subset, slow.accepts)
+
+    def test_step_at_a_time_reuses_the_block(self, rng, monkeypatch):
+        state, gen = ChainState(self.graph_with_m(rng, 17), ChainParams(RC, F(2), F(1))), SplitMix64(3)
+        sizes = []
+        words = SplitMix64.words
+        monkeypatch.setattr(SplitMix64, "words", lambda self, k: sizes.append(k) or words(self, k))
+        for _ in range(1000):
+            state.step(gen)
+        # about 2.5 words a step, from blocks of 64 or more
+        assert 0 < len(sizes) <= 1000 * 3 // 64
+
+    def test_run_keeps_no_spare_words(self, rng):
+        # run's generator is its own, so a returned state holds no block
+        res = run(self.graph_with_m(rng, 17), ChainParams(RWS, F(1, 2), F(1)), 5000, 1, thin=10)
+        assert res.final._cut == (None, [], 0)

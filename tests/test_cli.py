@@ -651,6 +651,35 @@ def test_selftest_detects_a_fold_that_skips_one_edge(capsys, monkeypatch, skip):
     assert report["congestion-bounds"] is False
 
 
+def test_quick_selftest_detects_a_fold_that_skips_one_edge(capsys, monkeypatch):
+    from rankpoly import mixing
+
+    original = mixing._fold
+    monkeypatch.setattr(mixing, "_fold", lambda s, sk, e: (s, sk) if e == 1 else original(s, sk, e))
+    code, out, _ = run_cli(capsys, "selftest", "--quick")
+    assert code == 1
+    assert json.loads(out.splitlines()[-1])["congestion-bounds"] is False
+
+
+def test_quick_selftest_detects_block_words_off_by_one(capsys, monkeypatch):
+    from rankpoly.rng import SplitMix64
+
+    original = SplitMix64.words
+
+    def shifted(self, k):
+        # the block starts one word late, the state ends where it should
+        out = original(self, k + 1)[1:]
+        self.unread(1)
+        return out
+
+    monkeypatch.setattr(SplitMix64, "words", shifted)
+    code, out, _ = run_cli(capsys, "selftest", "--quick")
+    assert code == 1
+    report = json.loads(out.splitlines()[-1])
+    assert report["sampler-determinism"] is False
+    assert "words(1)" in out
+
+
 class TestUnreadFlagsRefused:
     """A flag the command would not read is one error line and exit 1."""
 

@@ -71,3 +71,13 @@ def test_script_runs(script, args):
     done = run_python(str(SCRIPTS / script), *args)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_docstring_examples_name_files_in_the_repo(script):
+    import ast
+    import re
+
+    doc = ast.get_docstring(ast.parse((SCRIPTS / script).read_text())) or ""
+    for path in re.findall(r"--graph\s+(\S+)", doc):
+        assert (ROOT / path).is_file(), path
