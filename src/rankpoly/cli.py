@@ -110,13 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lw", help="linear-width of an ordering")
     _add_graph_arg(p)
-    p.add_argument(
-        "--ordering",
-        default="natural",
-        help="'natural', 'dfs', or 'file:PATH'",
-    )
-    p.add_argument("--treedec", default=None, help="tree decomposition JSON; overrides --ordering")
-    p.add_argument("--optimal", action="store_true", help="exhaustive minimum over all orderings")
+    p.add_argument("--ordering", help="'natural' (default), 'dfs', or 'file:PATH'")
+    p.add_argument("--treedec", default=None, help="tree decomposition JSON (instead of --ordering)")
+    p.add_argument("--optimal", action="store_true", help="exhaustive minimum over all orderings (no other flag)")
     p.add_argument("--verbose", action="store_true", help="also print the ordering and profile")
 
     p = sub.add_parser("reduce", help="modular reduction pipelines")
@@ -141,8 +137,8 @@ def _resolve_ordering(g: graphs.Graph, spec: str) -> mixing.EdgeOrdering:
     from . import mixing
 
     if spec == "auto":
-        kappa, _ = graphs.components(g, g.full_subset())
-        spec = "dfs" if g.m == g.n - kappa else "natural"
+        comps, _ = graphs.bfs_forest(g)
+        spec = "dfs" if g.m == g.n - len(comps) else "natural"
     if spec == "natural":
         return mixing.natural_ordering(g)
     if spec == "dfs":
@@ -215,6 +211,8 @@ def _cmd_count(args) -> int:
     exact._check_limit(0, args.max_edges)  # refuses a negative --max-edges
     if args.what == "is" and args.max_edges is not None:
         raise ValueError("count is enumerates no edge subsets; --max-edges does not apply")
+    if args.what != "pbis":
+        _refuse_unused(f"count {args.what}", ("--eta", args.eta))
     g, bip = graphio.load_graph(args.graph, args.format)
     if args.what == "bis":
         b = graphio.require_bipartite(g, bip)
@@ -328,6 +326,15 @@ def _cmd_mix(args) -> int:
 def _cmd_lw(args) -> int:
     from . import mixing
 
+    if args.optimal:
+        _refuse_unused(
+            "lw --optimal",
+            ("--ordering", args.ordering),
+            ("--treedec", args.treedec),
+            ("--verbose", args.verbose or None),
+        )
+    elif args.treedec:
+        _refuse_unused("lw --treedec", ("--ordering", args.ordering))
     g, _ = graphio.load_graph(args.graph, args.format)
     if args.optimal:
         print(mixing.optimal_linear_width(g))
@@ -336,7 +343,7 @@ def _cmd_lw(args) -> int:
         td = graphio.load_tree_decomposition(args.treedec)
         ordering = mixing.treedec_ordering(g, td)
     else:
-        ordering = _resolve_ordering(g, args.ordering)
+        ordering = _resolve_ordering(g, args.ordering or "natural")
     print(ordering.width)
     if args.verbose:
         print("ordering:", " ".join(map(str, ordering.perm)))

@@ -9,7 +9,8 @@ small m so new parameter points can be evaluated without re-enumeration.
 The tables follow the graph's structure.  A rank is additive over connected
 components (the matrix is block-diagonal), so every table is the
 convolution of one table per component, each component renumbered in
-breadth-first order from its smallest vertex.  The component count is a
+breadth-first order from its smallest vertex (``graphs.bfs_forest``, which
+also gives the tree DP its parents).  The component count is a
 rank too: kappa(S) = n - rank of the edge-by-vertex incidence of S.  A tree
 component takes a closed form or a leaf-up DP: on a forest the incidence
 rank of S is |S|, and the GF(2) rank of its bipartite adjacency is its
@@ -35,6 +36,7 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     LimitExceededError,
+    bfs_forest,
     components,
     twin_classes,
 )
@@ -92,31 +94,29 @@ def _table_to_terms(counts: list[list[int]]) -> Table:
     }
 
 
+def _evaluated(counts: list[list[int]], x: Fraction, mu: Fraction, m: int) -> EvalResult:
+    """The table at (x, mu), keeping its terms when m <= TERMS_RETENTION_LIMIT."""
+    value = evaluate_table(counts, Fraction(x), Fraction(mu))
+    return EvalResult(value, _table_to_terms(counts) if m <= TERMS_RETENTION_LIMIT else None)
+
+
 # ---------------------------------------------------------------------------
 # Structure: components and trees
 
 
 def _edge_components(g: Graph) -> list[tuple[list[int], Graph]]:
     """The connected components of g that have an edge, each as (its
-    vertices in breadth-first order from its smallest vertex, itself
-    renumbered in that order with its edges in id order)."""
-    inc = g.incidence()
-    pos = [-1] * g.n  # place in its component's order; -1 is unvisited
-    out = []
-    for root in range(g.n):
-        if pos[root] >= 0 or not inc[root]:
-            continue
-        pos[root] = 0
-        order = [root]
-        for v in order:
-            for _, w in inc[v]:
-                if pos[w] < 0:
-                    pos[w] = len(order)
-                    order.append(w)
-        ids = sorted(e for v in order for e, w in inc[v] if v < w)
-        edges = tuple((pos[g.edges[e][0]], pos[g.edges[e][1]]) for e in ids)
-        out.append((order, Graph(len(order), edges)))
-    return out
+    vertices in ``bfs_forest`` order, itself renumbered in that order with
+    its edges in id order)."""
+    comps, _ = bfs_forest(g)
+    pos, which = [0] * g.n, [0] * g.n
+    for c, order in enumerate(comps):
+        for i, v in enumerate(order):
+            pos[v], which[v] = i, c
+    edges: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in g.edges:
+        edges[which[u]].append((pos[u], pos[v]))
+    return [(order, Graph(len(order), tuple(e))) for order, e in zip(comps, edges) if e]
 
 
 def _add(*tables: Table) -> Table:
@@ -155,19 +155,13 @@ def _tree_matching_table(t: Graph) -> Table:
     """{(nu, s): count} over the edge subsets S of the tree t, nu the
     maximum matching of S.
 
-    Leaf-up DP from root 0: each vertex keeps the table of its subtree
-    split by whether the greedy leaf-up matching (match a vertex to a free
-    child when it has one) leaves the vertex free or matched.  The edge to
-    a child is absent, or present with the child matched (no change), or
-    present with the child free, which matches a free parent (nu + 1)."""
-    inc = t.incidence()
-    parent = [-1] * t.n
-    order = [0]
-    for v in order:
-        for _, w in inc[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    Leaf-up DP over the breadth-first tree from root 0: each vertex keeps
+    the table of its subtree split by whether the greedy leaf-up matching
+    (match a vertex to a free child when it has one) leaves the vertex free
+    or matched.  The edge to a child is absent, or present with the child
+    matched (no change), or present with the child free, which matches a
+    free parent (nu + 1)."""
+    [order], parent = bfs_forest(t)
     free: list[Table] = [{(0, 0): 1} for _ in range(t.n)]
     matched: list[Table] = [{} for _ in range(t.n)]
     for c in reversed(order[1:]):
@@ -320,10 +314,7 @@ def r2_prime(
     max_edges: int | None = None,
 ) -> EvalResult:
     """sum over S of lam^(bipartite rank of S) * mu^|S|."""
-    counts = bipartite_rank_size_counts(b, max_edges)
-    value = evaluate_table(counts, Fraction(lam), Fraction(mu))
-    terms = _table_to_terms(counts) if b.m <= TERMS_RETENTION_LIMIT else None
-    return EvalResult(value, terms)
+    return _evaluated(bipartite_rank_size_counts(b, max_edges), lam, mu, b.m)
 
 
 def r2(
@@ -333,10 +324,7 @@ def r2(
     max_edges: int | None = None,
 ) -> EvalResult:
     """sum over S of lam^(adjacency rank of S) * mu^|S| for a general graph."""
-    counts = graph_rank_size_counts(g, max_edges)
-    value = evaluate_table(counts, Fraction(lam), Fraction(mu))
-    terms = _table_to_terms(counts) if g.m <= TERMS_RETENTION_LIMIT else None
-    return EvalResult(value, terms)
+    return _evaluated(graph_rank_size_counts(g, max_edges), lam, mu, g.m)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +356,7 @@ def random_cluster(
 
     Isolated vertices count as components.
     """
-    counts = component_size_counts(g, max_edges)
-    value = evaluate_table(counts, Fraction(q), Fraction(mu))
-    terms = _table_to_terms(counts) if g.m <= TERMS_RETENTION_LIMIT else None
-    return EvalResult(value, terms)
+    return _evaluated(component_size_counts(g, max_edges), q, mu, g.m)
 
 
 def tutte(g: Graph, x: Fraction, y: Fraction, max_edges: int | None = None) -> Fraction:
@@ -499,9 +484,7 @@ def _twin_classes(g: Graph) -> tuple[list[int], list[list[int]]]:
     return [len(verts) for verts in classes], [sorted(a) for a in adj]
 
 
-def count_pbis_twins(
-    g: Graph | BipartiteGraph, eta: Fraction, class_budget: int = PBIS_CLASS_BUDGET
-) -> Fraction:
+def count_pbis_twins(g: Graph | BipartiteGraph, eta: Fraction) -> Fraction:
     """Labeling sum regrouped over classes of vertices with equal
     neighborhoods; exact for any graph, fast when there are few classes.
 
@@ -522,7 +505,7 @@ def count_pbis_twins(
     work = 1
     for i in rest:
         work *= sizes[i] + 1
-        if work > class_budget:
+        if work > PBIS_CLASS_BUDGET:
             raise LimitExceededError("too many twin-class label vectors")
     closed = [i for i in range(len(sizes)) if in_b[i]]
     pairs = [(i, j) for i in rest for j in adj[i] if j > i and not in_b[j]]
@@ -660,7 +643,6 @@ def r2_prime_via_purity(
 ) -> EvalResult:
     """Rank sum computed as lam^(|U| - pure component count) instead of via
     the matrix; must agree exactly with :func:`r2_prime`."""
-    lam, mu = Fraction(lam), Fraction(mu)
     _require_w_degrees_at_most_2(b)
     _check_limit(b.m, max_edges)
     nu = len(b.side_u)
@@ -671,9 +653,7 @@ def r2_prime_via_purity(
         _, _, pure = components(g, s, w_side)
         kpure = sum(pure)
         counts[nu - kpure][bin(s).count("1")] += 1
-    value = evaluate_table(counts, lam, mu)
-    terms = _table_to_terms(counts) if b.m <= TERMS_RETENTION_LIMIT else None
-    return EvalResult(value, terms)
+    return _evaluated(counts, lam, mu, b.m)
 
 
 # ---------------------------------------------------------------------------

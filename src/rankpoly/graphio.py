@@ -3,9 +3,9 @@
 Two input formats:
 
 * edge list — one ``u v`` pair per line, whitespace-tolerant, ``#`` starts
-  a comment.  If every token is an integer the tokens are used as vertex
-  ids directly (n = max id + 1); otherwise tokens are named vertices,
-  auto-numbered in order of first appearance.
+  a comment.  If every token is a decimal integer (``str.isdecimal``) the
+  tokens are used as vertex ids directly (n = max id + 1); otherwise
+  tokens are named vertices, auto-numbered in order of first appearance.
 * structured JSON — ``{"n": int, "edges": [[u, v], ...]}`` with optional
   ``"U"`` / ``"W"`` arrays that must partition 0..n-1.  Counts and ids are
   JSON integers only (no floats, strings or booleans).
@@ -75,7 +75,8 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(f"expected 'u v' per line, got {raw!r}")
         tokens.append((parts[0], parts[1]))
-    all_ints = all(a.lstrip("-").isdigit() and b.lstrip("-").isdigit() for a, b in tokens)
+    # isdecimal, not isdigit: int() refuses digits such as '²'
+    all_ints = all(a.lstrip("-").isdecimal() and b.lstrip("-").isdecimal() for a, b in tokens)
     if all_ints and tokens:
         pairs = [(int(a), int(b)) for a, b in tokens]
         if any(u < 0 or v < 0 for u, v in pairs):

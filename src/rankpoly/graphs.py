@@ -4,6 +4,12 @@ Edge subsets are plain ints used as bitmasks over edge ids (bit i set means
 edge i is in the subset).  Edge ids are assigned in input order and are never
 reindexed by any construction here; every construction documents the id
 layout of the graph it builds so that orderings stay reproducible.
+
+Every traversal of a whole graph reads one breadth-first spanning forest,
+:func:`bfs_forest`: the component splits and tree DPs of ``exact``, the
+subtree-first orderings of ``mixing``, 2-colouring, and the tree test of a
+tree decomposition.  The union-find :func:`components` serves the per-subset
+questions: component counts and purity of one edge subset at a time.
 """
 
 from __future__ import annotations
@@ -149,8 +155,8 @@ class TreeDecomposition:
 
     def validate_for(self, g: Graph) -> None:
         """Raise unless this is a valid tree decomposition of ``g``."""
-        kappa, comps = components(self.tree, self.tree.full_subset())
-        if self.tree.m != self.tree.n - 1 or kappa != 1:
+        comps, _ = bfs_forest(self.tree)
+        if self.tree.m != self.tree.n - 1 or len(comps) != 1:
             raise ValueError("decomposition graph is not a tree")
         bagsets = [set(b) for b in self.bags]
         for b in bagsets:
@@ -160,26 +166,48 @@ class TreeDecomposition:
         for u, v in g.edges:
             if not any(u in b and v in b for b in bagsets):
                 raise ValueError(f"edge ({u},{v}) not inside any bag")
-        # Connectivity of {h : v in bag_h} for each vertex, checked by BFS.
-        inc = self.tree.incidence()
+        # The bags holding v span a subforest of the tree, which is
+        # connected exactly when it has one edge fewer than it has nodes.
+        holders = [0] * g.n
+        for b in bagsets:
+            for v in b:
+                holders[v] += 1
+        for h, k in self.tree.edges:
+            for v in bagsets[h] & bagsets[k]:
+                holders[v] -= 1
         for v in range(g.n):
-            holders = [h for h, b in enumerate(bagsets) if v in b]
-            if not holders:
-                continue
-            seen = {holders[0]}
-            stack = [holders[0]]
-            while stack:
-                h = stack.pop()
-                for _, other in inc[h]:
-                    if other not in seen and v in bagsets[other]:
-                        seen.add(other)
-                        stack.append(other)
-            if len(seen) != len(holders):
+            if holders[v] > 1:
                 raise ValueError(f"bags containing vertex {v} are not connected")
 
 
 # ---------------------------------------------------------------------------
 # Component analysis
+
+
+def bfs_forest(g: Graph) -> tuple[list[list[int]], list[int]]:
+    """Breadth-first spanning forest of g: (components, parent).
+
+    Every component, isolated vertices included, is listed as its vertices
+    in breadth-first order from its smallest vertex, neighbours taken in
+    edge-id order; components are ordered by that vertex.  ``parent[v]`` is
+    the vertex that discovered v, -1 at a root."""
+    inc = g.incidence()
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    comps = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for v in order:
+            for _, w in inc[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+        comps.append(order)
+    return comps, parent
 
 
 def components(
@@ -255,33 +283,22 @@ def twin_classes(g: Graph) -> list[list[int]]:
 # Maximum matching
 
 
-def _two_color(g: Graph, subset: EdgeSubset) -> list[int] | None:
-    """2-coloring of (V, subset); None if it has an odd cycle."""
-    color = [-1] * g.n
-    inc = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        if (subset >> i) & 1:
-            inc[u].append(v)
-            inc[v].append(u)
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in inc[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return None
+def _two_color(g: Graph) -> list[int] | None:
+    """2-coloring of g by depth parity in its breadth-first forest; None if
+    some edge joins two vertices of one colour (g has an odd cycle)."""
+    comps, parent = bfs_forest(g)
+    color = [0] * g.n
+    for order in comps:
+        for v in order[1:]:
+            color[v] = 1 - color[parent[v]]
+    if any(color[u] == color[v] for u, v in g.edges):
+        return None
     return color
 
 
 def bipartition_of(g: Graph) -> BipartiteGraph:
     """Canonical bipartition by 2-coloring (component roots go to U side)."""
-    color = _two_color(g, g.full_subset())
+    color = _two_color(g)
     if color is None:
         raise ValueError("graph is not bipartite")
     side_u = tuple(v for v in range(g.n) if color[v] == 0)
@@ -289,15 +306,14 @@ def bipartition_of(g: Graph) -> BipartiteGraph:
     return BipartiteGraph(g, side_u, side_w)
 
 
-def _max_matching_augmenting(g: Graph, subset: EdgeSubset, color: list[int]) -> int:
+def _max_matching_augmenting(g: Graph, color: list[int]) -> int:
     left = [v for v in range(g.n) if color[v] == 0]
     adj: dict[int, list[int]] = {v: [] for v in left}
-    for i, (u, v) in enumerate(g.edges):
-        if (subset >> i) & 1:
-            if color[u] == 0:
-                adj[u].append(v)
-            else:
-                adj[v].append(u)
+    for u, v in g.edges:
+        if color[u] == 0:
+            adj[u].append(v)
+        else:
+            adj[v].append(u)
     match_right: dict[int, int] = {}
 
     def try_augment(u: int, seen: set[int]) -> bool:
@@ -323,11 +339,12 @@ def max_matching(g: Graph, subset: EdgeSubset | None = None) -> int:
     Bipartite subgraphs use augmenting paths; subgraphs with an odd cycle
     fall back to exhaustive search and are rejected above 24 edges.
     """
-    s = g.full_subset() if subset is None else subset
-    color = _two_color(g, s)
+    if subset is not None:
+        g = Graph(g.n, tuple(e for i, e in enumerate(g.edges) if (subset >> i) & 1))
+    color = _two_color(g)
     if color is not None:
-        return _max_matching_augmenting(g, s, color)
-    edges = [e for i, e in enumerate(g.edges) if (s >> i) & 1]
+        return _max_matching_augmenting(g, color)
+    edges = g.edges
     if len(edges) > _GENERAL_MATCHING_LIMIT:
         raise LimitExceededError(
             f"general matching limited to {_GENERAL_MATCHING_LIMIT} edges, got {len(edges)}"

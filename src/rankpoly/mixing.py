@@ -6,6 +6,9 @@ exact rationals; only total-variation curves run in float64 (numpy pairwise
 summation keeps the accumulated error around 1e-12, orders of magnitude
 below any tolerance used on top of it).
 
+The smallest-subtree-first orderings read their roots, parents and forest
+test from ``graphs.bfs_forest``.
+
 Work over the states runs on whole arrays indexed by state: congestion
 tables are numpy arrays of Python ints (dtype object, so every sum and
 product stays exact), and the transition operator is stored beside its
@@ -30,7 +33,7 @@ from .graphs import (
     Graph,
     LimitExceededError,
     TreeDecomposition,
-    components,
+    bfs_forest,
     twin_classes,
 )
 
@@ -93,42 +96,28 @@ def natural_ordering(g: Graph) -> EdgeOrdering:
 
 def _forest_dfs_vertex_order(t: Graph) -> tuple[list[int], list[int]]:
     """(vertex discovery order, edge discovery order) of a smallest-subtree-
-    first DFS.  Each component is rooted at its smallest vertex id; ties
-    among equal subtree sizes break toward the smaller vertex id."""
-    kappa, comps = components(t, t.full_subset())
-    if t.m != t.n - kappa:
+    first DFS over the ``bfs_forest`` of t.  Each component is rooted at its
+    smallest vertex id; ties among equal subtree sizes break toward the
+    smaller vertex id."""
+    comps, parent = bfs_forest(t)
+    if t.m != t.n - len(comps):
         raise ValueError("input has a cycle; expected a forest")
-    inc = t.incidence()
     size = [1] * t.n
+    for order in comps:
+        for x in reversed(order[1:]):
+            size[parent[x]] += size[x]
+    inc = t.incidence()
     vertex_order: list[int] = []
     edge_order: list[int] = []
-    for comp in sorted(comps, key=min):
-        root = min(comp)
-        # iterative post-order for subtree sizes
-        order = [root]
-        parent = {root: -1}
-        for x in order:
-            for _, y in inc[x]:
-                if y not in parent:
-                    parent[y] = x
-                    order.append(y)
-        for x in reversed(order):
-            if parent[x] != -1:
-                size[parent[x]] += size[x]
-        # DFS, smaller subtrees first
-        stack = [root]
-        seen = {root}
-        via_edge = {root: -1}
+    for order in comps:
+        stack = [(order[0], -1)]  # (vertex, edge from its parent)
         while stack:
-            x = stack.pop()
+            x, via = stack.pop()
             vertex_order.append(x)
-            if via_edge[x] != -1:
-                edge_order.append(via_edge[x])
-            children = [(size[y], y, eid) for eid, y in inc[x] if y not in seen]
-            for _, y, eid in sorted(children, reverse=True):
-                seen.add(y)
-                via_edge[y] = eid
-                stack.append(y)
+            if via != -1:
+                edge_order.append(via)
+            children = [(size[y], y, eid) for eid, y in inc[x] if parent[y] == x]
+            stack += [(y, eid) for _, y, eid in sorted(children, reverse=True)]
     return vertex_order, edge_order
 
 
@@ -213,16 +202,11 @@ class ExactChain:
     names each state's orbit under these swaps; states in one orbit have
     the same TV curve."""
 
-    def __init__(
-        self,
-        g: Graph | BipartiteGraph,
-        params: ChainParams,
-        max_edges: int = CHAIN_STATE_LIMIT,
-    ):
+    def __init__(self, g: Graph | BipartiteGraph, params: ChainParams):
         graph, nrows, ncols, toggles = params.encode(g)
-        if graph.m > max_edges:
+        if graph.m > CHAIN_STATE_LIMIT:
             raise LimitExceededError(
-                f"exact chain limited to {max_edges} edges, got {graph.m}"
+                f"exact chain limited to {CHAIN_STATE_LIMIT} edges, got {graph.m}"
             )
         if graph.m == 0:
             raise ValueError("chain needs at least one edge")
@@ -442,9 +426,7 @@ class ExactChain:
 
     # -- congestion -----------------------------------------------------------
 
-    def congestion(
-        self, ordering: EdgeOrdering, max_edges: int = CONGESTION_LIMIT
-    ) -> CongestionResult:
+    def congestion(self, ordering: EdgeOrdering) -> CongestionResult:
         """Exact maximum congestion over all transitions for the canonical-
         path family built on ``ordering``.
 
@@ -456,7 +438,7 @@ class ExactChain:
         a numpy array of Python ints, so every fold, product and comparison
         is exact.  The maximum over a cut is found by ``_first_max_ratio``,
         and the first maximum in (position, state) order is kept."""
-        _check_congestion_limit(self.m, max_edges)
+        _check_congestion_limit(self.m)
         m, n, perm = self.m, self.n_states, ordering.perm
         wt = np.array(self.weights, dtype=object)
         zero = np.zeros(n, dtype=object)
@@ -510,22 +492,19 @@ class CongestionResult:
 
 
 def congestion(
-    g: Graph | BipartiteGraph,
-    ordering: EdgeOrdering,
-    params: ChainParams,
-    max_edges: int = CONGESTION_LIMIT,
+    g: Graph | BipartiteGraph, ordering: EdgeOrdering, params: ChainParams
 ) -> CongestionResult:
     """Exact maximum congestion of the canonical-path family built on
     ``ordering``: ``ExactChain.congestion`` on a chain built for it."""
     graph = g.graph if isinstance(g, BipartiteGraph) else g
-    _check_congestion_limit(graph.m, max_edges)
-    return ExactChain(g, params, max_edges).congestion(ordering, max_edges)
+    _check_congestion_limit(graph.m)
+    return ExactChain(g, params).congestion(ordering)
 
 
-def _check_congestion_limit(m: int, max_edges: int) -> None:
-    if m > max_edges:
+def _check_congestion_limit(m: int) -> None:
+    if m > CONGESTION_LIMIT:
         raise LimitExceededError(
-            f"congestion enumeration limited to {max_edges} edges, got {m}"
+            f"congestion enumeration limited to {CONGESTION_LIMIT} edges, got {m}"
         )
 
 

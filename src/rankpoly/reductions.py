@@ -34,9 +34,9 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     LimitExceededError,
+    bfs_forest,
     biclique_gadget,
     cloud_blowup,
-    components,
     fan_gadget,
     is_prime,
     stretch_sum,
@@ -365,7 +365,7 @@ def tutte_via_oracle(
         factor = Fraction(a**n * d ** (2 * m)) / (lam ** (n * n_u) * x_val**n)
         residues.append(rational_mod_p(factor * query, p))
 
-    kappa_full, _ = components(h, h.full_subset())
+    kappa_full = len(bfs_forest(h)[0])
     scale = (x - 1) ** (-kappa_full) * (y - 1) ** (-n) / (a**n * d ** (2 * m))
     cert = _certify(pairs, residues, bound, scale)
     return cert.value, cert

@@ -454,6 +454,12 @@ class TestGraphIo:
         g = parse_edge_list("  0\t 1 \n\n   1    2\r\n# full comment\n 2 3\n")
         assert g.n == 4 and g.m == 3
 
+    def test_edge_list_non_decimal_digit_is_a_name(self):
+        # '²' is a digit to str.isdigit, but int() refuses it
+        g = parse_edge_list("0 1\n1 \u00b2\n")
+        assert g.n == 3 and g.edges == ((0, 1), (1, 2))
+        assert g.labels == ("0", "1", "\u00b2")
+
     def test_edge_list_integer_ids_preserve_gaps(self):
         g = parse_edge_list("0 2\n")
         assert g.n == 3 and g.isolated_count() == 1
@@ -716,6 +722,33 @@ class TestUnreadFlagsRefused:
             "--steps", "100", "--burnin", "50", "--thin", "10",
         )
         assert code == 0 and json.loads(out.splitlines()[-1])["retained"] == 5
+
+    @pytest.mark.parametrize("what", ["bis", "matchings", "perfect-matchings", "is"])
+    def test_count_eta_only_for_pbis(self, capsys, tmp_path, what):
+        # a missing graph file: the refusal comes before the graph is read
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, "count", what, "--graph", missing, "--eta", "1/3")
+        assert code == 1 and out == ""
+        assert err == f"error: count {what} does not take --eta\n"
+
+    @pytest.mark.parametrize("flag", [
+        ("--ordering", "natural"),
+        ("--ordering", "dfs"),
+        ("--treedec", "td.json"),
+        ("--verbose",),
+    ])
+    def test_lw_optimal_takes_no_ordering_flags(self, capsys, tmp_path, flag):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, "lw", "--graph", missing, "--optimal", *flag)
+        assert code == 1 and out == ""
+        assert err == f"error: lw --optimal does not take {flag[0]}\n"
+
+    @pytest.mark.parametrize("spec", ["natural", "dfs"])
+    def test_lw_treedec_takes_no_ordering(self, capsys, tmp_path, spec):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, "lw", "--graph", missing, "--treedec", "td.json", "--ordering", spec)
+        assert code == 1 and out == ""
+        assert err == "error: lw --treedec does not take --ordering\n"
 
     def test_mix_seed_without_empirical(self, capsys, c4):
         code, out, err = run_cli(

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rankpoly import gf2
 from rankpoly.exact import (
+    _edge_components,
     EvalResult,
     biclique_gadget_closed_forms,
     bipartite_rank_size_counts,
@@ -559,3 +560,12 @@ class TestNegativeLimit:
 
     def test_zero_still_allows_the_edgeless_graph(self):
         assert r2_prime(bipartition_of(Graph(2, ())), F(2), F(3), max_edges=0).value == 1
+
+
+class TestEdgeComponents:
+    def test_layout_on_shuffled_ids_with_isolated_vertices(self):
+        g = Graph(8, ((5, 2), (1, 6), (2, 3), (0, 5), (3, 0)))
+        assert _edge_components(g) == [
+            ([0, 5, 3, 2], Graph(4, ((1, 3), (3, 2), (0, 1), (2, 0)))),
+            ([1, 6], Graph(2, ((0, 1),))),
+        ]

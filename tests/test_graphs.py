@@ -13,6 +13,7 @@ from rankpoly.graphs import (
     Graph,
     LimitExceededError,
     TreeDecomposition,
+    bfs_forest,
     bipartition_of,
     biclique_gadget,
     cloud_blowup,
@@ -114,6 +115,51 @@ class TestComponents:
                 s = rng.randrange(1 << b.m) if b.m else 0
                 rk = rank(bipartite_adjacency(b, s))
                 assert rk == len(b.side_u) - pure_component_count(b, s)
+
+
+class TestBfsForest:
+    def test_empty_graph(self):
+        assert bfs_forest(Graph(0, ())) == ([], [])
+
+    def test_isolated_vertices_are_their_own_roots(self):
+        assert bfs_forest(Graph(3, ())) == ([[0], [1], [2]], [-1, -1, -1])
+
+    def test_components_in_order_of_their_smallest_vertex(self):
+        g = Graph(7, ((5, 2), (1, 6), (2, 3), (0, 5)))
+        comps, parent = bfs_forest(g)
+        assert comps == [[0, 5, 2, 3], [1, 6], [4]]
+        assert parent == [-1, -1, 5, 2, -1, 0, 1]
+
+    def test_neighbours_in_edge_id_order(self):
+        comps, parent = bfs_forest(Graph(4, ((0, 3), (0, 1), (0, 2))))
+        assert comps == [[0, 3, 1, 2]]
+        assert parent == [-1, 0, 0, 0]
+
+    def test_parents_along_a_shuffled_path(self):
+        comps, parent = bfs_forest(Graph(5, ((3, 1), (1, 4), (4, 0), (2, 3))))
+        assert comps == [[0, 4, 1, 3, 2]]
+        assert parent == [-1, 4, 3, 1, 0]
+
+    def test_cycle_parents_are_the_first_discoverers(self):
+        comps, parent = bfs_forest(cycle_graph(5))
+        assert comps == [[0, 1, 4, 2, 3]]
+        assert parent == [-1, 0, 1, 4, 0]
+
+    @given(small_graphs(8))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_components(self, g):
+        comps, parent = bfs_forest(g)
+        kappa, uf = components(g, g.full_subset())
+        assert kappa == len(comps)
+        assert sorted(map(sorted, uf)) == sorted(map(sorted, comps))
+        adjacent = {frozenset(e) for e in g.edges}
+        for order in comps:
+            assert order[0] == min(order) and parent[order[0]] == -1
+            place = {v: i for i, v in enumerate(order)}
+            for v in order[1:]:
+                assert frozenset((v, parent[v])) in adjacent
+                assert place[parent[v]] < place[v]
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
 
 
 class TestMaxMatching:
