@@ -183,27 +183,23 @@ def _cmd_eval(args) -> int:
     exact._check_limit(0, args.max_edges)  # refuses a negative --max-edges
     if args.poly == "tutte":
         _refuse_unused("tutte", ("--lambda", args.lam), ("--q", args.q), ("--mu", args.mu))
-    else:
-        _refuse_unused(args.poly, ("--x", args.x), ("--y", args.y))
-    g, bip = graphio.load_graph(args.graph, args.format)
-    if args.poly in ("r2p", "r2"):
-        lam = _weight(args, args.poly, False)
-        if lam is None or args.mu is None:
-            raise ValueError(f"{args.poly} needs --lambda and --mu")
-        if args.poly == "r2p":
-            res = exact.r2_prime(graphio.require_bipartite(g, bip), lam, args.mu, args.max_edges)
-        else:
-            res = exact.r2(g, lam, args.mu, args.max_edges)
-        _print_value(res.value)
-    elif args.poly == "zrc":
-        q = _weight(args, "zrc", True)
-        if q is None or args.mu is None:
-            raise ValueError("zrc needs --q and --mu")
-        _print_value(exact.random_cluster(g, q, args.mu, args.max_edges).value)
-    else:
         if args.x is None or args.y is None:
             raise ValueError("tutte needs --x and --y")
+    else:
+        _refuse_unused(args.poly, ("--x", args.x), ("--y", args.y))
+        takes_q = args.poly == "zrc"
+        weight = _weight(args, args.poly, takes_q)
+        if weight is None or args.mu is None:
+            raise ValueError(f"{args.poly} needs {'--q' if takes_q else '--lambda'} and --mu")
+    g, bip = graphio.load_graph(args.graph, args.format)
+    if args.poly == "tutte":
         _print_value(exact.tutte(g, args.x, args.y, args.max_edges))
+    elif args.poly == "r2p":
+        _print_value(exact.r2_prime(graphio.require_bipartite(g, bip), weight, args.mu, args.max_edges).value)
+    elif args.poly == "r2":
+        _print_value(exact.r2(g, weight, args.mu, args.max_edges).value)
+    else:
+        _print_value(exact.random_cluster(g, weight, args.mu, args.max_edges).value)
     return 0
 
 
@@ -213,13 +209,13 @@ def _cmd_count(args) -> int:
         raise ValueError("count is enumerates no edge subsets; --max-edges does not apply")
     if args.what != "pbis":
         _refuse_unused(f"count {args.what}", ("--eta", args.eta))
+    elif args.eta is None:
+        raise ValueError("pbis needs --eta")
     g, bip = graphio.load_graph(args.graph, args.format)
     if args.what == "bis":
         b = graphio.require_bipartite(g, bip)
         _print_value(Fraction(exact.count_bis(b, args.max_edges)))
     elif args.what == "pbis":
-        if args.eta is None:
-            raise ValueError("pbis needs --eta")
         b = graphio.require_bipartite(g, bip)
         _print_value(exact.count_pbis_auto(b, args.eta, args.max_edges))
     elif args.what == "matchings":

@@ -7,7 +7,9 @@ are single XORs regardless of width.  ``F2Matrix`` is an immutable value;
 updates M + u v^T, and reads the rank change of such an update without
 applying it.  ``gray_ranks`` walks every edge subset of a graph along a
 Gray code, one maintained profile for all of them, for any of the three
-per-edge encodings (bipartite adjacency, symmetric adjacency, incidence).
+per-edge encodings (bipartite adjacency, symmetric adjacency, incidence);
+it builds the R2 table of ``exact`` and is the reference the exact chains'
+whole-array rank table (``mixing``) is checked against.
 """
 
 from __future__ import annotations
@@ -147,11 +149,13 @@ class RankProfile:
         self.R: list[int] = list(source.data)
         self.pivot_owner: dict[int, int] = {}
         self.pivot_of: list[int] = [-1] * self.nrows  # -1 = zero row
+        self.null_rows: list[int] = []  # the k with pivot_of[k] == -1
         self.rank = 0
         for k in range(self.nrows):
             self._insert(k)
 
     def _insert(self, k: int) -> None:
+        """Eliminate row k, which holds no pivot and is not in null_rows."""
         v = self.R[k]
         t = self.T[k]
         owner = self.pivot_owner
@@ -170,7 +174,7 @@ class RankProfile:
             t ^= T[o]
         R[k] = 0
         T[k] = t
-        self.pivot_of[k] = -1
+        self.null_rows.append(k)
 
     def flip_entry(self, i: int, j: int) -> int:
         """Flip entry (i, j) of the source matrix; returns the new rank."""
@@ -201,8 +205,8 @@ class RankProfile:
             y ^= T[o]
         if not w and not (y & rows).bit_count() & 1:
             return 0
-        for k, p in enumerate(self.pivot_of):
-            if p < 0 and (T[k] & rows).bit_count() & 1:
+        for k in self.null_rows:
+            if (T[k] & rows).bit_count() & 1:
                 return 1 if w else 0  # u is outside the column space
         return 0 if w else -1
 
@@ -227,17 +231,18 @@ class RankProfile:
                 v = R[k] ^ cols
                 R[k] = v
                 p = pivot_of[k]
-                if v == 0:
-                    if p >= 0:
-                        del self.pivot_owner[p]
-                        pivot_of[k] = -1
-                        self.rank -= 1
-                elif p < 0 or (v & -v).bit_length() - 1 != p:
-                    if p >= 0:
-                        del self.pivot_owner[p]
-                        pivot_of[k] = -1
-                        self.rank -= 1
-                    requeue.append(k)
+                if p < 0:
+                    if v:  # a null row gains a value
+                        self.null_rows.remove(k)
+                        requeue.append(k)
+                elif v == 0 or (v & -v).bit_length() - 1 != p:
+                    del self.pivot_owner[p]
+                    pivot_of[k] = -1
+                    self.rank -= 1
+                    if v:
+                        requeue.append(k)
+                    else:
+                        self.null_rows.append(k)
         for k in requeue:
             self._insert(k)
         if self.paranoid:

@@ -9,10 +9,12 @@ below any tolerance used on top of it).
 The smallest-subtree-first orderings read their roots, parents and forest
 test from ``graphs.bfs_forest``.
 
-Work over the states runs on whole arrays indexed by state: congestion
-tables are numpy arrays of Python ints (dtype object, so every sum and
-product stays exact), and the transition operator is stored beside its
-transpose, which is what each float step multiplies.
+Work over the states runs on whole arrays indexed by state: an exact
+chain's rank table comes from one GF(2) elimination over all 2^m subsets at
+once (``_rank_table``) and its weights from one table per (rank, |S|) class,
+congestion tables are numpy arrays of Python ints (dtype object, so every
+sum and product stays exact), and the transition operator is stored beside
+its transpose, which is what each float step multiplies.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 
 from .chains import ChainParams
-from .gf2 import gray_ranks
+from .gf2 import Toggles
 from .graphs import (
     BipartiteGraph,
     EdgeSubset,
@@ -187,6 +189,82 @@ def canonical_path(
 # Exact chains on the full state space
 
 
+def _rank_table(nrows: int, ncols: int, toggles: Toggles) -> np.ndarray:
+    """The rank of the zero nrows x ncols matrix with the updates
+    ``toggles[e]`` of every edge e in S applied, for all 2^m subsets S at
+    once, as an int64 array indexed by S.
+
+    Only rows and columns some update touches can be nonzero, so they are
+    renumbered densely; each of the three per-edge encodings of ``gf2``
+    touches at most 2 columns per edge, so at most 2m <= 32 columns within
+    CHAIN_STATE_LIMIT, which fit an int64 bitmask.
+    One row at a time, its value v in every state is built by doubling over
+    the edges (the states holding edge e are those without it, with e's
+    updates to the row XORed in) and reduced against that state's basis,
+    one array per pivot bit p (the basis vector whose lowest bit is p,
+    shifted down by p, or 0): for p ascending, v ^= (v & 2^p) * basis[p].
+    A nonzero residue joins the basis at its lowest bit and adds 1 to the
+    state's rank."""
+    m = len(toggles)
+    touched_rows = touched_cols = 0
+    for updates in toggles:
+        for u, v in updates:
+            touched_rows |= u
+            touched_cols |= v
+    row_of, col_of = _dense_bits(touched_rows), _dense_bits(touched_cols)
+    n = 1 << m
+    deltas = [[0] * m for _ in row_of]
+    for e, updates in enumerate(toggles):
+        for u, v in updates:
+            dense_v = sum(1 << col_of[j] for j in _bits(v))
+            for i in _bits(u):
+                deltas[row_of[i]][e] ^= dense_v
+
+    basis = np.zeros((len(col_of), n), dtype=np.int64)
+    rank = np.zeros(n, dtype=np.int64)
+    hit = np.empty(n, dtype=np.int64)
+    v = np.empty(n, dtype=np.int64)
+    filled = 0  # pivot bits some state's basis holds
+    for delta in deltas:
+        v[0] = 0
+        for e, d in enumerate(delta):
+            np.bitwise_xor(v[: 1 << e], d, out=v[1 << e : 2 << e])
+        for p in _bits(filled):
+            np.bitwise_and(v, 1 << p, out=hit)
+            np.multiply(hit, basis[p], out=hit)
+            np.bitwise_xor(v, hit, out=v)
+        added = np.flatnonzero(v)
+        residue = v[added]
+        low = residue & -residue
+        pivot = np.frexp(low)[1] - 1  # exact: low is a power of two
+        basis[pivot, added] = residue >> pivot
+        rank[added] += 1
+        filled |= int(np.bitwise_or.reduce(low, initial=0))
+    return rank
+
+
+def _bits(x: int) -> list[int]:
+    """The set bit positions of x, ascending."""
+    out = []
+    while x:
+        out.append((x & -x).bit_length() - 1)
+        x &= x - 1
+    return out
+
+
+def _dense_bits(x: int) -> dict[int, int]:
+    """Each set bit position of x to its index among them."""
+    return {b: i for i, b in enumerate(_bits(x))}
+
+
+def _sizes(m: int) -> np.ndarray:
+    """|S| for every subset S of m edges, by doubling over the edges."""
+    size = np.zeros(1 << m, dtype=np.int64)
+    for e in range(m):
+        size[1 << e : 2 << e] = size[: 1 << e] + 1
+    return size
+
+
 class ExactChain:
     """All 2^m states of a single-bond-flip chain with exact stationary
     weights; the transition operator is applied sparsely, never densified
@@ -214,26 +292,27 @@ class ExactChain:
         self.graph = graph
         self.m = m = graph.m
         self.n_states = 1 << m
-        stat = [0] * self.n_states
-        for s, r in gray_ranks(nrows, ncols, toggles):
-            stat[s] = r
-        self.statistic = stat
+        self._stat = _rank_table(nrows, ncols, toggles)
+        self.statistic = self._stat.tolist()
+        # the weight of a state depends only on its class (rank, |S|)
         top = min(nrows, ncols)
         a, b = params.base.numerator, params.base.denominator
         c, d = params.mu.numerator, params.mu.denominator
-        apow = [a**i for i in range(top + 1)]
-        bpow = [b**i for i in range(top + 1)]
-        cpow = [c**i for i in range(m + 1)]
-        dpow = [d**i for i in range(m + 1)]
-        self.weights = [
-            apow[stat[s]] * bpow[top - stat[s]] * cpow[s.bit_count()] * dpow[m - s.bit_count()]
-            for s in range(self.n_states)
+        self._class_weights = [
+            a**r * b ** (top - r) * c**k * d ** (m - k) for r in range(top + 1) for k in range(m + 1)
         ]
-        self.total_weight = sum(self.weights)
+        cls = self._classes()
+        self._class_counts = np.bincount(cls, minlength=len(self._class_weights)).tolist()
+        self.weights = np.array(self._class_weights, dtype=object)[cls].tolist()
+        self.total_weight = sum(n * w for n, w in zip(self._class_counts, self._class_weights))
         self._sparse = None
         self._sparse_t = None
         self._orbits = None
         self._pi_float = None
+
+    def _classes(self) -> np.ndarray:
+        """Each state's (rank, |S|) class, as rank * (m + 1) + |S|."""
+        return self._stat * (self.m + 1) + _sizes(self.m)
 
     # -- exact quantities -----------------------------------------------------
 
@@ -277,9 +356,11 @@ class ExactChain:
     def pi_float(self) -> np.ndarray:
         """pi as correctly rounded floats; computed once, read-only."""
         if self._pi_float is None:
-            # int true division is correctly rounded, as float(Fraction) is
+            # int true division is correctly rounded, as float(Fraction) is;
+            # w / z of a class no state has can overflow, and no state reads it
             z = self.total_weight
-            pi = np.array([x / z for x in self.weights])
+            table = [w / z if n else 0.0 for n, w in zip(self._class_counts, self._class_weights)]
+            pi = np.array(table)[self._classes()]
             pi.flags.writeable = False
             self._pi_float = pi
         return self._pi_float
@@ -296,7 +377,7 @@ class ExactChain:
             states = np.arange(n)
             bits = 1 << np.arange(m)
             moves = states[:, None] ^ bits
-            stat = np.array(self.statistic)
+            stat = self._stat
             d_rank = stat[moves] - stat[:, None]
             adding = (states[:, None] & bits) == 0
             table = np.array([[num / (den * m) for num, den in row] for row in self.params.accept])
@@ -367,7 +448,9 @@ class ExactChain:
 
     def trio(self) -> list[EdgeSubset]:
         """The canonical starts {empty, full, minimum-weight}, sorted."""
-        worst = min(range(self.n_states), key=lambda s: self.weights[s])
+        lightest = min(w for n, w in zip(self._class_counts, self._class_weights) if n)
+        is_lightest = np.array([w == lightest for w in self._class_weights])
+        worst = int(np.argmax(is_lightest[self._classes()]))
         return sorted({0, self.n_states - 1, worst})
 
     def default_starts(self) -> list[EdgeSubset]:

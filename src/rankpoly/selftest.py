@@ -156,6 +156,8 @@ def check_structure_routes() -> tuple[bool, str]:
 
 
 def check_detailed_balance() -> tuple[bool, str]:
+    """Each exact chain's rank table equals the Gray-code walk of its
+    matrix, and the chain is exactly reversible."""
     cases = [
         (graphs.path_graph(2), RWS),
         (graphs.path_graph(4), RWS),
@@ -164,7 +166,14 @@ def check_detailed_balance() -> tuple[bool, str]:
     ]
     for g, fam in cases:
         obj = graphs.bipartition_of(g) if fam == RWS else g
-        chain = mixing.ExactChain(obj, ChainParams(fam, Fraction(1, 2), Fraction(2)))
+        params = ChainParams(fam, Fraction(1, 2), Fraction(2))
+        chain = mixing.ExactChain(obj, params)
+        _, nrows, ncols, toggles = params.encode(obj)
+        walked = [0] * chain.n_states
+        for s, r in gf2.gray_ranks(nrows, ncols, toggles):
+            walked[s] = r
+        if chain.statistic != walked:
+            return False, f"{fam} rank table on {g.edges} differs from the Gray walk"
         if not chain.verify_detailed_balance():
             return False, f"{fam} on {g.edges}"
     return True, "exact reversibility on all cases"

@@ -199,13 +199,13 @@ class TestRun:
         for _ in range(500):
             prof = state.profile
             before = (list(prof.rows), list(prof.R), list(prof.T), list(prof.pivot_of),
-                      dict(prof.pivot_owner), prof.rank, state.subset)
+                      dict(prof.pivot_owner), list(prof.null_rows), prof.rank, state.subset)
             accepts = state.accepts
             state.step(gen)
             if state.accepts == accepts:
                 rejected += 1
                 assert (prof.rows, prof.R, prof.T, prof.pivot_of, prof.pivot_owner,
-                        prof.rank, state.subset) == before
+                        prof.null_rows, prof.rank, state.subset) == before
         assert rejected > 100
 
 

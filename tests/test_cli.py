@@ -534,6 +534,22 @@ class TestGraphIo:
         report = json.loads(out.splitlines()[-1])
         assert report["structure-routes"] is False
 
+    def test_selftest_detects_broken_chain_rank_table(self, capsys, monkeypatch):
+        from rankpoly import mixing
+
+        original = mixing._rank_table
+
+        def corrupted(*args):
+            table = original(*args)
+            table[-1] -= 1
+            return table
+
+        monkeypatch.setattr(mixing, "_rank_table", corrupted)
+        code, out, _ = run_cli(capsys, "selftest", "--quick")
+        assert code == 1
+        report = json.loads(out.splitlines()[-1])
+        assert report["detailed-balance"] is False
+
     def test_selftest_detects_broken_row_dp(self, capsys, monkeypatch):
         from rankpoly import exact
 
@@ -730,6 +746,19 @@ class TestUnreadFlagsRefused:
         code, out, err = run_cli(capsys, "count", what, "--graph", missing, "--eta", "1/3")
         assert code == 1 and out == ""
         assert err == f"error: count {what} does not take --eta\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("count", "pbis"), "pbis needs --eta"),
+        (("eval", "r2p", "--mu", "1"), "r2p needs --lambda and --mu"),
+        (("eval", "r2", "--lambda", "2"), "r2 needs --lambda and --mu"),
+        (("eval", "zrc", "--mu", "1"), "zrc needs --q and --mu"),
+        (("eval", "tutte", "--x", "2"), "tutte needs --x and --y"),
+    ])
+    def test_missing_values_named_before_the_graph_is_read(self, capsys, tmp_path, argv, message):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, *argv, "--graph", missing)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag", [
         ("--ordering", "natural"),

@@ -186,7 +186,7 @@ def plus_outer(mat: F2Matrix, u: int, v: int) -> F2Matrix:
 
 def profile_state(prof: RankProfile):
     return (list(prof.rows), list(prof.R), list(prof.T), list(prof.pivot_of),
-            dict(prof.pivot_owner), prof.rank)
+            dict(prof.pivot_owner), list(prof.null_rows), prof.rank)
 
 
 class TestRankOneUpdate:
@@ -220,6 +220,17 @@ class TestRankOneUpdate:
             before = prof.rank
             d = prof.delta_if_flip(u, v)
             assert prof.flip(u, v) == before + d == rank_of_rows(list(prof.rows))
+
+    def test_null_rows_are_the_zero_rows_after_every_update(self, rng):
+        for nrows, ncols in ((6, 6), (9, 4), (3, 10)):
+            prof = RankProfile(F2Matrix(nrows, ncols, tuple(rng.randrange(1 << ncols) for _ in range(nrows))))
+            for step in range(400):
+                assert sorted(prof.null_rows) == [k for k in range(nrows) if prof.R[k] == 0], step
+                assert len(prof.null_rows) == nrows - prof.rank
+                if step % 3:
+                    prof.flip(rng.randrange(1, 1 << nrows), rng.randrange(1, 1 << ncols))
+                else:
+                    prof.flip_entry(rng.randrange(nrows), rng.randrange(ncols))
 
     def test_out_of_range(self):
         prof = RankProfile(zero_matrix(2, 3))

@@ -10,12 +10,27 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import random
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rankpoly
 from rankpoly.chains import RC, RWS, ChainParams, run
+from rankpoly.gf2 import (
+    adjacency,
+    adjacency_toggles,
+    bipartite_adjacency,
+    bipartite_adjacency_toggles,
+    gray_ranks,
+    incidence,
+    incidence_toggles,
+    rank,
+)
 from rankpoly.graphs import (
+    BipartiteGraph,
     Graph,
     LimitExceededError,
     TreeDecomposition,
@@ -29,6 +44,7 @@ from rankpoly.graphs import (
     star_graph,
 )
 from rankpoly.mixing import (
+    CHAIN_STATE_LIMIT,
     CONGESTION_LIMIT,
     START_BLOCK_ENTRIES,
     START_MATRIX_LIMIT,
@@ -37,6 +53,7 @@ from rankpoly.mixing import (
     congestion,
     congestion_bound,
     dfs_tree_ordering,
+    _rank_table,
     empirical_tv,
     linear_width_of_ordering,
     mixing_bound_from_congestion,
@@ -737,6 +754,106 @@ class TestOneRank:
             ExactChain(star_graph(3), ChainParams(RWS, F(1, 2), F(1)))
 
 
+@st.composite
+def small_graphs(draw):
+    """A graph on 1..7 vertices with 1..10 edges; isolated vertices allowed."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
+    return Graph(n + draw(st.integers(0, 2)), tuple(edges))
+
+
+def encodings(g):
+    """(name, nrows, ncols, toggles, matrix of a subset) of every encoding
+    g has: the bipartite adjacency when g is bipartite, the symmetric
+    adjacency and the incidence."""
+    out = []
+    b = g if hasattr(g, "side_u") else None
+    g = b.graph if b is not None else g
+    if b is None:
+        try:
+            b = bipartition_of(g)
+        except ValueError:
+            pass
+    if b is not None:
+        out.append(("bipartite", len(b.side_u), len(b.side_w), bipartite_adjacency_toggles(b),
+                    lambda s: bipartite_adjacency(b, s)))
+    out.append(("adjacency", g.n, g.n, adjacency_toggles(g), lambda s: adjacency(g, s)))
+    out.append(("incidence", g.n, g.m, incidence_toggles(g), lambda s: incidence(g, s)))
+    return out
+
+
+def gray_table(nrows, ncols, toggles):
+    table = [0] * (1 << len(toggles))
+    for s, r in gray_ranks(nrows, ncols, toggles):
+        table[s] = r
+    return table
+
+
+def per_state_tables(target, params):
+    """(statistic, weights, total weight) by the per-state formulas: the
+    Gray walk's rank, then base^rank mu^|S| scaled by one loop per state."""
+    graph, nrows, ncols, toggles = params.encode(target)
+    stat, m, top = gray_table(nrows, ncols, toggles), graph.m, min(nrows, ncols)
+    a, b = params.base.numerator, params.base.denominator
+    c, d = params.mu.numerator, params.mu.denominator
+    weights = [a**r * b ** (top - r) * c ** s.bit_count() * d ** (m - s.bit_count()) for s, r in enumerate(stat)]
+    return stat, weights, sum(weights)
+
+
+class TestRankTable:
+    """The whole-array rank table against the Gray walk and a fresh
+    elimination of every subset, for all three per-edge encodings."""
+
+    def check(self, g, all_subsets=True):
+        for name, nrows, ncols, toggles, matrix in encodings(g):
+            table = _rank_table(nrows, ncols, toggles)
+            assert table.dtype == np.int64 and len(table) == 1 << len(toggles)
+            assert table.tolist() == gray_table(nrows, ncols, toggles), name
+            subsets = range(len(table)) if all_subsets else random.Random(len(table)).sample(range(len(table)), 300)
+            assert [table[s] for s in subsets] == [rank(matrix(s)) for s in subsets], name
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_walk_and_fresh_rank(self, g):
+        self.check(g)
+
+    @pytest.mark.parametrize("g", [
+        path_graph(2),                                                   # m = 1
+        Graph(6, ((0, 1), (2, 3))),                                      # isolated vertices
+        BipartiteGraph(Graph(5, ((0, 2), (1, 2))), (0, 1), (2, 3, 4)),   # isolated columns
+        Graph(80, ((0, 79), (79, 3), (3, 64))),                          # column ids past 63
+        complete_bipartite(2, 3),
+        complete_graph(5),
+    ], ids=["m1", "isolated", "isolated-columns", "wide", "K23", "K5"])
+    def test_explicit_cases(self, g):
+        self.check(g)
+
+    def test_tree_at_the_chain_limit(self):
+        t = random_tree(random.Random(16), CHAIN_STATE_LIMIT + 1)
+        assert t.m == CHAIN_STATE_LIMIT
+        self.check(t, all_subsets=False)
+
+    @pytest.mark.parametrize("family,g", [(RWS, complete_bipartite(2, 3)), (RC, complete_graph(5)),
+                                          (RWS, path_graph(8)), (RC, star_graph(7)),
+                                          (RWS, Graph(7, ((0, 1), (1, 2), (4, 5))))])
+    def test_chain_tables_are_the_per_state_formulas(self, family, g):
+        params = ChainParams(family, F(10**40, 3), F(3**30, 2))
+        chain = ExactChain(target_for(family, g), params)
+        stat, weights, z = per_state_tables(target_for(family, g), params)
+        assert chain.statistic == stat and type(chain.statistic) is list
+        assert chain.weights == weights and type(chain.weights) is list
+        assert all(type(w) is int for w in chain.weights)
+        assert chain.total_weight == z
+        assert chain.pi_float().tobytes() == np.array([w / z for w in weights]).tobytes()
+        lightest = min(range(chain.n_states), key=weights.__getitem__)
+        assert chain.trio() == sorted({0, chain.n_states - 1, lightest})
+        shim = SimpleNamespace(n_states=chain.n_states, m=chain.m, weights=weights)
+        got, ref = chain.sparse_transition(), reference_sparse_transition(shim)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+
+
 class TestArrayCode:
     """The whole-array congestion tables, pi and float steps against loops."""
 
@@ -766,6 +883,7 @@ class TestArrayCode:
         (RC, cycle_graph(7), F(1, 2**600), F(2**170, 7)),    # q^kappa past 2^4000
         (RWS, star_graph(6), F(1, 3**700), F(5**400, 3)),    # pi entries far below 1e-308
         (RC, star_graph(5), F(3), F(2, 7)),
+        (RWS, star_graph(3), F(10**400), F(1, 10**400)),  # rank 1 at |S| = 0 would be 10^400 z
     ])
     def test_pi_float_is_float_of_fraction(self, family, g, lam, mu):
         chain = ExactChain(target_for(family, g), ChainParams(family, lam, mu))
@@ -799,13 +917,13 @@ class TestArrayCode:
         from rankpoly.cli import main
 
         walks = []
-        original = mixing.gray_ranks
+        original = mixing._rank_table
 
         def counted(*args):
             walks.append(args)
             return original(*args)
 
-        monkeypatch.setattr(mixing, "gray_ranks", counted)
+        monkeypatch.setattr(mixing, "_rank_table", counted)
         path = tmp_path / "t.txt"
         path.write_text("0 1\n1 2\n1 3\n3 4\n4 5\n")
         argv = ["mix", "--graph", str(path), "--family", "rws", "--lambda", "1/2", "--mu", "1"]

@@ -44,23 +44,23 @@ def test_congruence_demo_matches_through_the_row_space_dp():
 
 
 def test_mixing_experiment_walks_the_subsets_once_per_tree():
-    # tau and congestion share one ExactChain, so one Gray walk per tree
+    # tau and congestion share one ExactChain, so one rank table per tree
     probe = (
         "import runpy, sys\n"
         "from rankpoly import mixing\n"
         "calls = []\n"
-        "original = mixing.gray_ranks\n"
-        "mixing.gray_ranks = lambda *a: calls.append(1) or original(*a)\n"
+        "original = mixing._rank_table\n"
+        "mixing._rank_table = lambda *a: calls.append(1) or original(*a)\n"
         f"sys.argv = [{str(SCRIPTS / 'mixing_experiment.py')!r}, '--sizes', '4', '5', '--trials', '2']\n"
         "try:\n"
         "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
         "finally:\n"
-        "    print('gray walks:', len(calls), file=sys.stderr)\n"
+        "    print('rank tables:', len(calls), file=sys.stderr)\n"
     )
     done = run_python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 1 + 4  # header and one row per tree
-    assert int(done.stderr.rsplit("gray walks:", 1)[1]) == 4
+    assert int(done.stderr.rsplit("rank tables:", 1)[1]) == 4
 
 
 @pytest.mark.parametrize("script, args", [
